@@ -24,15 +24,6 @@ namespace cosmo::core {
 
 namespace detail {
 
-/// Grain hint for one halo's O(n²) MBP potential tabulation: finer chunks
-/// for the rare huge halos so the work-stealing pool can spread the one
-/// monster across every worker while small-halo tasks fill the gaps. The
-/// potential tabulation is elementwise and the argmin exact, so the grain
-/// never changes the chosen center.
-inline std::size_t center_grain(std::size_t members) {
-  return members >= 8192 ? 4 : 16;
-}
-
 /// Catalog record → FOF halo via the id index the halo finder publishes;
 /// falls back to a linear scan if the index is absent (e.g. a hand-built
 /// context). Returns nullptr for records centered in a previous step or
@@ -162,9 +153,8 @@ class CenterFinderAlgorithm : public CadencedAlgorithm {
           results[k] =
               method_ == "astar"
                   ? halo::mbp_center_astar(particles, h.members, ccfg)
-                  : halo::mbp_center_brute(
-                        ctx.backend, particles, h.members, ccfg,
-                        detail::center_grain(h.members.size()));
+                  : halo::mbp_center_brute(ctx.backend, particles,
+                                           h.members, ccfg);
         },
         /*grain=*/1);
     for (std::size_t k = 0; k < work.size(); ++k) {
@@ -421,9 +411,8 @@ class HaloPropertiesAlgorithm : public CadencedAlgorithm {
           const halo::CenterResult r =
               method_ == "astar"
                   ? halo::mbp_center_astar(particles, h.members, ccfg)
-                  : halo::mbp_center_brute(
-                        ctx.backend, particles, h.members, ccfg,
-                        detail::center_grain(h.members.size()));
+                  : halo::mbp_center_brute(ctx.backend, particles,
+                                           h.members, ccfg);
           rec.cx = particles.x[r.particle];
           rec.cy = particles.y[r.particle];
           rec.cz = particles.z[r.particle];

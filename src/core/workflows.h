@@ -25,6 +25,7 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -192,14 +193,21 @@ inline std::vector<sim::ParticleSet> unpack_halos(
   return halos;
 }
 
+/// Shortest text that parses back to the same double (std::to_string keeps
+/// six decimals: 1e-7 would read back as 0).
+inline std::string round_trip_text(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 /// Builds the CosmoTools config text for a workflow's analysis settings.
 inline CosmoToolsConfig analysis_config(const WorkflowProblem& p,
                                         std::uint64_t threshold) {
   std::string text;
   text += "[halofinder]\n";
-  text += "linking_length " + std::to_string(p.linking_length) + "\n";
+  text += "linking_length " + round_trip_text(p.linking_length) + "\n";
   text += "min_size " + std::to_string(p.min_halo_size) + "\n";
-  text += "overload " + std::to_string(p.overload) + "\n";
+  text += "overload " + round_trip_text(p.overload) + "\n";
   text += "[centerfinder]\n";
   text += "threshold " + std::to_string(threshold) + "\n";
   text += "[somass]\n";

@@ -1,11 +1,14 @@
 // Backend bit-identity tests for the parallel halo-analysis chain: FOF
 // linking blocks, the parallel k-d tree build, the per-halo property
-// fan-out in the core pipeline, and the property kernels themselves.
+// fan-out in the core pipeline, the property kernels themselves, and the
+// AVX2 tile kernel of the MBP center finder against the scalar sum.
 // Everything here asserts EXACT equality between Serial and ThreadPool —
 // the dpp contract — not tolerance-based agreement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -18,6 +21,7 @@
 #include "comm/comm.h"
 #include "core/algorithms.h"
 #include "core/cosmotools.h"
+#include "halo/center_finder.h"
 #include "halo/fof.h"
 #include "halo/kdtree.h"
 #include "halo/so_mass.h"
@@ -369,6 +373,149 @@ TEST(ParallelProperties, KernelsBitIdenticalAcrossBackends) {
     const auto fb = stats::concentration_profile_fit(
         p, members, 8.0, 8.0, 8.0, box, 16, dpp::Backend::ThreadPool, grain);
     EXPECT_EQ(fa.c, fb.c) << "grain " << grain;
+  }
+}
+
+// ----------------------------------------------------- MBP tile kernel --
+
+/// Gaussian blob of n particles, wrapped into [0, box) when box > 0.
+ParticleSet wrapped_blob(std::size_t n, double c, double sigma, double box,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  auto coord = [&] {
+    double v = rng.normal(c, sigma);
+    if (box > 0.0) v -= box * std::floor(v / box);
+    return static_cast<float>(v);
+  };
+  ParticleSet p;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float x = coord(), y = coord(), z = coord();
+    p.push_back(x, y, z, 0, 0, 0, static_cast<std::int64_t>(i));
+  }
+  return p;
+}
+
+std::vector<std::uint32_t> all_members(const ParticleSet& p) {
+  std::vector<std::uint32_t> m(p.size());
+  std::iota(m.begin(), m.end(), 0u);
+  return m;
+}
+
+constexpr const char* kNoAvx2 =
+    "no AVX2 on this CPU (or not an x86-64 build): the center finder runs "
+    "the scalar exact_potential here, so there is no tile kernel to compare";
+
+/// Calls the AVX2 tile kernel directly over every member and compares each
+/// φ bit for bit with the scalar reference exact_potential.
+void expect_kernel_bitwise(const ParticleSet& p,
+                           std::span<const std::uint32_t> members,
+                           const CenterConfig& cfg, const std::string& what) {
+#ifdef COSMO_CENTER_AVX2
+  std::vector<double> phi(members.size());
+  halo::detail::potentials_avx2(p, members, 0, members.size(), cfg, phi);
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    const double ref = halo::detail::exact_potential(p, members, k, cfg);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(phi[k]),
+              std::bit_cast<std::uint64_t>(ref))
+        << what << ": target " << k << " of " << members.size()
+        << ", kernel " << phi[k] << " vs scalar " << ref;
+  }
+#else
+  (void)p, (void)members, (void)cfg, (void)what;
+#endif
+}
+
+TEST(MbpTileKernel, BitwiseEqualToScalarForEveryRemainder) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  CenterConfig cfg;
+  cfg.box = 10.0;
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 63u, 1001u}) {
+    const ParticleSet p = wrapped_blob(n, 5.0, 0.4, cfg.box, 100 + n);
+    expect_kernel_bitwise(p, all_members(p), cfg, "n=" + std::to_string(n));
+  }
+}
+
+TEST(MbpTileKernel, BitwiseEqualAcrossThePeriodicSeam) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  // Centred on the box corner: every axis straddles the seam, so pairs
+  // fold through both the d > box/2 and the d < −box/2 branch.
+  CenterConfig cfg;
+  cfg.box = 16.0;
+  const ParticleSet p = wrapped_blob(203, 0.0, 0.6, cfg.box, 7);
+  for (const auto* axis : {&p.x, &p.y, &p.z}) {
+    ASSERT_TRUE(std::any_of(axis->begin(), axis->end(),
+                            [](float v) { return v < 1.0f; }));
+    ASSERT_TRUE(std::any_of(axis->begin(), axis->end(),
+                            [&](float v) { return v > cfg.box - 1.0; }));
+  }
+  expect_kernel_bitwise(p, all_members(p), cfg, "seam");
+  // box = 0 is the non-periodic case: the same particles, never folded.
+  cfg.box = 0.0;
+  expect_kernel_bitwise(p, all_members(p), cfg, "box=0");
+}
+
+TEST(MbpTileKernel, BitwiseEqualWithCoincidentParticles) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  // Every position three times over, so d = 0 for non-self pairs. Then no
+  // softening at all: each coincident pair adds −inf, and the self pair,
+  // whose term is +inf too, must still add nothing (not inf·0 = NaN).
+  const ParticleSet base = wrapped_blob(23, 5.0, 0.3, 10.0, 8);
+  ParticleSet p;
+  for (int copy = 0; copy < 3; ++copy)
+    for (std::size_t i = 0; i < base.size(); ++i)
+      p.push_back(base.x[i], base.y[i], base.z[i], 0, 0, 0,
+                  static_cast<std::int64_t>(p.size()));
+  CenterConfig cfg;
+  cfg.box = 10.0;
+  expect_kernel_bitwise(p, all_members(p), cfg, "coincident");
+  cfg.softening = 0.0;
+  expect_kernel_bitwise(p, all_members(p), cfg, "coincident, no softening");
+  const ParticleSet single = wrapped_blob(9, 5.0, 0.3, 10.0, 9);
+  expect_kernel_bitwise(single, all_members(single), cfg, "no softening");
+}
+
+TEST(MbpTileKernel, BitwiseEqualOnPermutedSubset) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  // FOF halos index a larger particle set in no particular order.
+  CenterConfig cfg;
+  cfg.box = 12.0;
+  const ParticleSet p = wrapped_blob(3000, 11.5, 0.8, cfg.box, 10);
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t i = 0; i < p.size(); i += 1 + i % 5) members.push_back(i);
+  Rng rng(11);
+  for (std::size_t i = members.size() - 1; i > 0; --i)
+    std::swap(members[i], members[rng.below(i + 1)]);
+  if (members.size() % 4 == 0) members.pop_back();  // keep a short tile
+  expect_kernel_bitwise(p, members, cfg, "permuted subset");
+}
+
+TEST(MbpTileKernel, MonsterHaloSerialEqualsPoolEqualsReference) {
+  // Above the one-tile-per-chunk size, on the real NFW profile. Runs on
+  // every host: without AVX2 it checks the scalar path the same way.
+  CenterConfig cfg;
+  cfg.box = 48.0;
+  ParticleSet p;
+  Rng rng(12);
+  sim::detail::sample_nfw_blob(rng, p, 47.2, 24.0, 0.5, 1.6, 5.0, 8203, 0,
+                               0.0);
+  p.wrap_positions(static_cast<float>(cfg.box));
+  const auto members = all_members(p);
+  ASSERT_GE(members.size(), 8192u);
+
+  std::vector<double> ref(members.size());
+  dpp::tabulate<double>(dpp::Backend::ThreadPool, ref, [&](std::size_t k) {
+    return halo::detail::exact_potential(p, members, k, cfg);
+  });
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < ref.size(); ++k)
+    if (ref[k] < ref[best]) best = k;
+
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+    const auto r = mbp_center_brute(backend, p, members, cfg);
+    EXPECT_EQ(r.member_index, best) << dpp::to_string(backend);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.potential),
+              std::bit_cast<std::uint64_t>(ref[best]))
+        << dpp::to_string(backend);
   }
 }
 

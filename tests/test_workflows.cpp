@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 
 #include "core/workflows.h"
@@ -270,6 +272,24 @@ TEST_F(WorkflowEnd2End, SubhalosReportedWhenEnabled) {
   std::uint32_t subs = 0;
   for (const auto& rec : r.catalog) subs += rec.subhalos;
   EXPECT_GT(subs, 0u) << "planted substructure not reported in catalog";
+}
+
+TEST(AnalysisConfig, DoublesRoundTripBitForBit) {
+  WorkflowProblem p;
+  for (const auto& [ll, overload] :
+       {std::pair{0.123456789, 2.0000000001}, std::pair{1e-7, 3e-9},
+        std::pair{0.32, 3.0}}) {
+    p.linking_length = ll;
+    p.overload = overload;
+    const auto cfg = core::detail::analysis_config(p, 0);
+    const auto& fof = cfg.section("halofinder");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fof.get_double("linking_length", -1)),
+              std::bit_cast<std::uint64_t>(ll))
+        << ll;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fof.get_double("overload", -1)),
+              std::bit_cast<std::uint64_t>(overload))
+        << overload;
+  }
 }
 
 }  // namespace
