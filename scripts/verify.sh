@@ -20,10 +20,14 @@
 #                              pack/exchange/unpack), test_faults (fault
 #                              injection on the comm/listener/staging hot
 #                              paths, including the coordinated-abort
-#                              collectives), and test_halo_parallel (the
+#                              collectives), test_halo_parallel (the
 #                              per-halo fan-out, parallel FOF linking and
 #                              parallel k-d tree build racing nested
-#                              dispatches) with -DCOSMO_TSAN=ON in
+#                              dispatches), test_workflows (the staging
+#                              handoff between the simulation and Level 2
+#                              jobs) and test_campaign (concurrent analysis
+#                              jobs on listener threads, drained on success
+#                              and on failure) with -DCOSMO_TSAN=ON in
 #                              build-tsan/ and fails on any reported race.
 set -euo pipefail
 
@@ -34,10 +38,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-tsan}"
   cmake -B "$build_dir" -S "$repo_root" -DCOSMO_TSAN=ON
   cmake --build "$build_dir" --target test_dpp test_comm test_fft test_faults \
-    test_halo_parallel -j "$jobs"
+    test_halo_parallel test_workflows test_campaign -j "$jobs"
   # TSAN_OPTIONS: any race is fatal (non-zero exit), second_deadlock_stack
   # makes lock-order reports actionable.
-  for t in test_dpp test_comm test_fft test_faults test_halo_parallel; do
+  for t in test_dpp test_comm test_fft test_faults test_halo_parallel \
+    test_workflows test_campaign; do
     TSAN_OPTIONS="halt_on_error=0 exitcode=66 second_deadlock_stack=1" \
       "$build_dir/tests/$t"
   done

@@ -27,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -256,6 +257,29 @@ class Comm {
   template <typename T>
   T allreduce_value(T value, ReduceOp op) {
     return allreduce(std::span<const T>(&value, 1), op)[0];
+  }
+
+  /// Runs the rank-local step `fn` (it must not call a collective), then
+  /// agrees on its outcome with an allreduce(Max): if it threw on any rank,
+  /// every rank throws cosmo::Error together. run_spmd joins all ranks
+  /// before rethrowing, so a rank that bailed out alone would leave its
+  /// peers blocked forever in their next collective.
+  template <typename F>
+  void agree_or_throw(const std::string& what, F&& fn) {
+    std::string error;
+    try {
+      fn();
+    } catch (const std::exception& e) {
+      error = "rank " + std::to_string(rank_) + ": " + e.what();
+    } catch (...) {
+      error = "rank " + std::to_string(rank_) + ": unknown exception";
+    }
+    const int failed_rank =
+        allreduce_value(error.empty() ? -1 : rank_, ReduceOp::Max);
+    if (failed_rank >= 0)
+      throw Error(what + " failed on " +
+                  (error.empty() ? "rank " + std::to_string(failed_rank)
+                                 : error));
   }
 
   /// Gathers variable-length buffers onto root, concatenated in rank order.

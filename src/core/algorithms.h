@@ -343,125 +343,6 @@ class SubhaloAlgorithm : public CadencedAlgorithm {
   halo::SubhaloConfig cfg_;
 };
 
-/// Fused per-halo property chain: each halo's center → SO mass → shape →
-/// concentration (→ optional subhalos) runs as ONE pool task, so the whole
-/// sub-chain of a halo stays on one worker (cache-warm member list) while
-/// work-stealing balances the rare monsters against many small halos. The
-/// records it appends are identical to running CenterFinder + SoMass +
-/// Shape + Concentration (+ Subhalo) sequentially: every per-halo quantity
-/// is computed by the same calls with the same deterministic kernels.
-class HaloPropertiesAlgorithm : public CadencedAlgorithm {
- public:
-  std::string Name() const override { return "haloproperties"; }
-
-  void SetToolParameters(const ParameterMap& p) override {
-    threshold_ = static_cast<std::uint64_t>(p.get_int("threshold", 0));
-    softening_ = p.get_double("softening", 1e-6);
-    method_ = p.get_string("method", "brute");
-    COSMO_REQUIRE(method_ == "brute" || method_ == "astar",
-                  "haloproperties method must be 'brute' or 'astar'");
-    delta_ = p.get_double("delta", 200.0);
-    shape_min_size_ =
-        static_cast<std::size_t>(p.get_int("shape_min_size", 100));
-    conc_min_size_ = static_cast<std::size_t>(p.get_int("conc_min_size", 100));
-    subhalos_ = p.get_bool("subhalos", false);
-    min_host_ = static_cast<std::size_t>(p.get_int("min_host", 5000));
-    sub_cfg_.num_neighbors =
-        static_cast<std::size_t>(p.get_int("num_neighbors", 20));
-    sub_cfg_.min_size = static_cast<std::size_t>(p.get_int("min_size", 20));
-    sub_cfg_.velocity_scale = p.get_double("velocity_scale", 0.0);
-  }
-
-  void Execute(const sim::StepContext&, AnalysisContext& ctx) override {
-    COSMO_REQUIRE(ctx.fof != nullptr,
-                  "haloproperties requires the halofinder to run first");
-    COSMO_TRACE_SPAN_CAT("halo.properties", "halo");
-    halo::CenterConfig ccfg;
-    ccfg.softening = softening_;
-    ccfg.box = ctx.box;
-    halo::SoConfig scfg;
-    scfg.delta = delta_;
-    scfg.particle_mass = 1.0;
-    scfg.mean_density = static_cast<double>(ctx.total_particles) /
-                        (ctx.box * ctx.box * ctx.box);
-    scfg.box = ctx.box;
-    scfg.backend = ctx.backend;
-    sub_cfg_.box = ctx.box;
-    const auto& particles = ctx.fof->particles;
-    // Same in-situ/off-line split as the center finder.
-    std::vector<std::uint32_t> work;  // indices into fof->halos
-    work.reserve(ctx.fof->halos.size());
-    for (std::uint32_t hi = 0; hi < ctx.fof->halos.size(); ++hi) {
-      const auto& h = ctx.fof->halos[hi];
-      if (threshold_ != 0 && h.members.size() > threshold_) {
-        ctx.deferred_members.push_back(h.members);
-        ctx.deferred_ids.push_back(h.id);
-      } else {
-        work.push_back(hi);
-      }
-    }
-    std::vector<stats::HaloRecord> records(work.size());
-    dpp::for_each_index(
-        ctx.backend, work.size(),
-        [&](std::size_t k) {
-          const auto& h = ctx.fof->halos[work[k]];
-          stats::HaloRecord rec;
-          rec.id = h.id;
-          rec.count = h.members.size();
-          const halo::CenterResult r =
-              method_ == "astar"
-                  ? halo::mbp_center_astar(particles, h.members, ccfg)
-                  : halo::mbp_center_brute(ctx.backend, particles,
-                                           h.members, ccfg);
-          rec.cx = particles.x[r.particle];
-          rec.cy = particles.y[r.particle];
-          rec.cz = particles.z[r.particle];
-          rec.potential = static_cast<float>(r.potential);
-          const auto so = halo::so_mass(particles, h.members, rec.cx, rec.cy,
-                                        rec.cz, scfg);
-          rec.so_mass = static_cast<float>(so.mass);
-          rec.so_radius = static_cast<float>(so.radius);
-          if (rec.count >= shape_min_size_) {
-            const auto s =
-                stats::halo_shape(particles, h.members, rec.cx, rec.cy,
-                                  rec.cz, ctx.box, ctx.backend);
-            rec.b_over_a = static_cast<float>(s.b_over_a);
-            rec.c_over_a = static_cast<float>(s.c_over_a);
-          }
-          if (rec.count >= conc_min_size_) {
-            const auto c =
-                rec.count >= 200
-                    ? stats::concentration_profile_fit(
-                          particles, h.members, rec.cx, rec.cy, rec.cz,
-                          ctx.box, 16, ctx.backend)
-                    : stats::concentration(particles, h.members, rec.cx,
-                                           rec.cy, rec.cz, ctx.box,
-                                           ctx.backend);
-            rec.concentration = static_cast<float>(c.c);
-          }
-          if (subhalos_ && rec.count > min_host_) {
-            const auto subs =
-                halo::find_subhalos(particles, h.members, sub_cfg_);
-            rec.subhalos = static_cast<std::uint32_t>(subs.size());
-          }
-          records[k] = rec;
-        },
-        /*grain=*/1);
-    for (auto& rec : records) ctx.catalog.push_back(rec);
-  }
-
- private:
-  std::uint64_t threshold_ = 0;
-  double softening_ = 1e-6;
-  std::string method_ = "brute";
-  double delta_ = 200.0;
-  std::size_t shape_min_size_ = 100;
-  std::size_t conc_min_size_ = 100;
-  bool subhalos_ = false;
-  std::size_t min_host_ = 5000;
-  halo::SubhaloConfig sub_cfg_;
-};
-
 /// Builds the standard halo-analysis pipeline in execution order.
 inline void register_halo_pipeline(InSituAnalysisManager& manager) {
   manager.add(std::make_unique<HaloFinderAlgorithm>());
@@ -478,12 +359,6 @@ inline void register_full_halo_pipeline(InSituAnalysisManager& manager) {
   manager.add(std::make_unique<SoMassAlgorithm>());
   manager.add(std::make_unique<ShapeAlgorithm>());
   manager.add(std::make_unique<ConcentrationAlgorithm>());
-}
-
-/// Same chain with the per-halo sub-chains fused into one task per halo.
-inline void register_fused_halo_pipeline(InSituAnalysisManager& manager) {
-  manager.add(std::make_unique<HaloFinderAlgorithm>());
-  manager.add(std::make_unique<HaloPropertiesAlgorithm>());
 }
 
 }  // namespace cosmo::core

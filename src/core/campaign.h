@@ -11,14 +11,20 @@
 // analysis job on its own thread — analysis of step k overlaps simulation
 // of step k+1, exactly the co-scheduling overlap the paper is after.
 // "Pile-up" (§3.2) is tolerated and measured: triggers can outpace analysis.
+//
+// Each step's analysis job is the combined workflows' Level 2 job
+// (detail::run_level2_job over the step's Level 2 files, phases timed under
+// phase.* spans in category "campaign"), and a step whose job never
+// delivered reruns that same job on the simulation job's ranks after the
+// drain. A simulation job that fails (every rank together, via
+// Comm::agree_or_throw) still stops the Listener and joins every analysis
+// job before the exception leaves run_campaign.
 #pragma once
 
 #include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -27,7 +33,6 @@
 #include "core/workflows.h"
 #include "obs/obs.h"
 #include "sched/listener.h"
-#include "util/timer.h"
 
 namespace cosmo::core {
 
@@ -78,19 +83,21 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
   result.steps.resize(cfg.timesteps);
   std::mutex result_mutex;
 
-  // Per-step universe configs (deterministic).
-  std::vector<sim::SyntheticConfig> universes(cfg.timesteps);
+  // Per-step problems (deterministic universes).
+  std::vector<WorkflowProblem> problems(cfg.timesteps, cfg.base);
   for (std::size_t s = 0; s < cfg.timesteps; ++s) {
-    universes[s] = cfg.base.universe;
-    universes[s].seed = cfg.base.universe.seed + s;
-    universes[s].max_particles = static_cast<std::size_t>(
+    auto& u = problems[s].universe;
+    u.seed = cfg.base.universe.seed + s;
+    u.max_particles = static_cast<std::size_t>(
         static_cast<double>(cfg.base.universe.max_particles) *
         std::pow(cfg.growth_per_step,
                  static_cast<double>(s) -
                      static_cast<double>(cfg.timesteps - 1)));
-    if (universes[s].max_particles < universes[s].min_particles)
-      universes[s].max_particles = universes[s].min_particles;
+    if (u.max_particles < u.min_particles) u.max_particles = u.min_particles;
   }
+  auto level2_base = [&](std::size_t step) {
+    return cfg.base.workdir / ("level2.step" + std::to_string(step));
+  };
 
   // The analysis side: one real job per trigger, each on its own thread.
   std::vector<std::thread> analysis_jobs;
@@ -104,65 +111,15 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
   std::vector<std::uint8_t> offline_done(cfg.timesteps, 0);
   std::atomic<std::uint64_t> job_failures{0};
 
-  // Off-line analysis of one step's Level 2 files on `ranks` ranks with the
-  // given backend — the co-scheduled job normally, the in-situ fallback
-  // when a step degrades. Returns (catalog part, worst-rank seconds).
-  auto offline_analysis_for_step = [&](std::size_t step, int ranks,
-                                       dpp::Backend backend) {
-    const auto problem = [&] {
-      WorkflowProblem p = cfg.base;
-      p.universe = universes[step];
-      return p;
-    }();
-    stats::HaloCatalog offline;
-    double offline_s = 0.0;
-    comm::run_spmd(ranks, [&](comm::Comm& c) {
-      std::vector<sim::ParticleSet> halos;
-      bool read_failed = false;
-      try {
-        for (int src = 0; src < problem.ranks; ++src) {
-          if (src % c.size() != c.rank()) continue;
-          const auto path = io::aggregated_file_path(
-              problem.workdir / ("level2.step" + std::to_string(step)), src);
-          io::CosmoIoReader reader(path);
-          for (std::uint32_t b = 0; b < reader.num_blocks(); ++b)
-            halos.push_back(reader.read_block(b));
-        }
-      } catch (const std::exception&) {
-        // A rank that lost its reads must not abandon its peers mid-
-        // collective (they would block forever in the allgather below).
-        // Record the failure and agree on it first; then every rank throws
-        // together and the job dies cleanly.
-        read_failed = true;
-        halos.clear();
-      }
-      const int any_failed =
-          c.allreduce_value(read_failed ? 1 : 0, comm::ReduceOp::Max);
-      COSMO_REQUIRE(any_failed == 0,
-                    "Level 2 read failed on an analysis rank");
-      // Share all halos (Level 2 "redistribution").
-      std::vector<std::size_t> counts;
-      const auto buf = detail::pack_halos(halos);
-      auto gathered = c.allgatherv<std::byte>(buf, &counts);
-      std::vector<sim::ParticleSet> all;
-      std::size_t off = 0;
-      for (const auto len : counts) {
-        auto seg = std::span<const std::byte>(gathered).subspan(off, len);
-        for (auto& h : detail::unpack_halos(seg)) all.push_back(std::move(h));
-        off += len;
-      }
-      obs::TimedSpan t("campaign.offline_analysis", "campaign");
-      auto part = detail::analyze_level2(
-          c, problem, backend, all,
-          sim::synthetic_total_particles(problem.universe), nullptr);
-      const double mine = t.finish();
-      const double worst = c.allreduce_value(mine, comm::ReduceOp::Max);
-      if (c.rank() == 0) {
-        offline = std::move(part);
-        offline_s = worst;
-      }
-    });
-    return std::make_pair(std::move(offline), offline_s);
+  // The Level 2 job over one step's files on `ranks` ranks with the given
+  // backend — the co-scheduled job normally, the in-situ fallback when a
+  // step degrades.
+  auto level2_job = [&](std::size_t step, int ranks, dpp::Backend backend) {
+    return detail::run_level2_job(
+        problems[step], ranks, backend, "campaign",
+        [&](int src, std::vector<sim::ParticleSet>& halos) {
+          detail::read_level2_file(level2_base(step), src, halos);
+        });
   };
 
   auto analysis_job = [&](std::size_t step) {
@@ -175,13 +132,13 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
     obs::TimedSpan turnaround("campaign.analysis_job", "campaign");
     COSMO_COUNT("campaign.analysis_jobs", 1);
     try {
-      auto [offline, offline_s] = offline_analysis_for_step(
-          step, cfg.base.analysis_ranks, cfg.base.analysis_backend);
+      auto job = level2_job(step, cfg.base.analysis_ranks,
+                            cfg.base.analysis_backend);
       std::lock_guard lock(result_mutex);
       auto& out = result.steps[step];
-      out.offline_analysis_s = offline_s;
+      out.offline_analysis_s = job.analysis;
       out.trigger_to_done_s = turnaround.finish();
-      out.catalog = stats::reconcile_catalogs(out.catalog, offline);
+      out.catalog = stats::reconcile_catalogs(out.catalog, job.catalog);
       offline_done[step] = 1;
     } catch (const std::exception&) {
       // The co-scheduled job died (injected I/O failure, lost delivery…).
@@ -206,68 +163,72 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
       });
   listener.start();
 
+  // Stops the listener, then joins every analysis job. Runs before this
+  // function returns or throws: the jobs reference its locals, and
+  // unwinding past a joinable std::thread calls std::terminate.
+  auto drain = [&] {
+    listener.stop();
+    for (;;) {
+      std::unique_lock lock(jobs_mutex);
+      if (analysis_jobs.empty()) break;
+      auto t = std::move(analysis_jobs.back());
+      analysis_jobs.pop_back();
+      lock.unlock();
+      t.join();
+    }
+  };
+
   // The simulation job: all timesteps in one SPMD run.
   obs::TimedSpan sim_timer("campaign.sim_job", "campaign");
-  comm::run_spmd(cfg.base.ranks, [&](comm::Comm& c) {
-    for (std::size_t s = 0; s < cfg.timesteps; ++s) {
-      WorkflowProblem p = cfg.base;
-      p.universe = universes[s];
-      sim::Cosmology cosmo;
-      auto u = sim::generate_synthetic(c, cosmo, p.universe);
-      obs::TimedSpan t_analysis("campaign.insitu_analysis", "campaign");
-      auto out = detail::run_insitu_pipeline(c, p, p.threshold, u.local,
-                                             u.total_particles);
-      const double analysis_s = t_analysis.finish();
+  try {
+    comm::run_spmd(cfg.base.ranks, [&](comm::Comm& c) {
+      for (std::size_t s = 0; s < cfg.timesteps; ++s) {
+        const WorkflowProblem& p = problems[s];
+        obs::TimedSpan t_sim("phase.sim", "campaign");
+        sim::Cosmology cosmo;
+        auto u = sim::generate_synthetic(c, cosmo, p.universe);
+        t_sim.finish();
+        obs::TimedSpan t_analysis("campaign.insitu_analysis", "campaign");
+        auto out = detail::run_insitu_pipeline(c, p, p.threshold, u.local,
+                                               u.total_particles);
+        const double analysis_s = t_analysis.finish();
 
-      // Emit the step's Level 2 (one file per rank, one block per halo).
-      // Retried whole-file on injected write failures: a partial file is
-      // unfinalized and simply rewritten from the in-memory halos.
-      const auto base = p.workdir / ("level2.step" + std::to_string(s));
-      {
-        util::Retry retry;
-        const auto outcome = retry.run("campaign.level2_write", [&] {
-          io::CosmoIoWriter w(io::aggregated_file_path(base, c.rank()),
-                              {p.universe.box, 1.0, 0, 0});
-          for (const auto& h : out.deferred)
-            w.write_block(h, static_cast<std::uint32_t>(c.rank()));
-          w.finalize();
-          return true;
+        // Emit the step's Level 2. Once the ranks agree the writes
+        // succeeded, every rank's file exists and rank 0 may fire the
+        // step trigger.
+        c.agree_or_throw("Level 2 write", [&] {
+          COSMO_TRACE_SPAN_CAT("phase.write", "campaign");
+          detail::write_level2_file(level2_base(s), c.rank(), p.universe.box,
+                                    out.deferred);
         });
-        COSMO_REQUIRE(outcome.success, "Level 2 write failed after retries");
-      }
-      // All ranks' files must exist before the step trigger fires.
-      c.barrier();
-      const double worst = c.allreduce_value(analysis_s, comm::ReduceOp::Max);
-      const auto deferred = c.allreduce_value<std::uint64_t>(
-          out.deferred.size(), comm::ReduceOp::Sum);
-      auto catalog = detail::gather_catalog(c, out.catalog_part);
-      if (c.rank() == 0) {
-        {
-          std::lock_guard lock(result_mutex);
-          auto& step_out = result.steps[s];
-          step_out.step = s;
-          step_out.insitu_analysis_s = worst;
-          step_out.deferred_halos = deferred;
-          step_out.catalog = std::move(catalog);  // in-situ part
+        const double worst =
+            c.allreduce_value(analysis_s, comm::ReduceOp::Max);
+        const auto deferred = c.allreduce_value<std::uint64_t>(
+            out.deferred.size(), comm::ReduceOp::Sum);
+        auto catalog = detail::gather_catalog(c, out.catalog_part);
+        if (c.rank() == 0) {
+          {
+            std::lock_guard lock(result_mutex);
+            auto& step_out = result.steps[s];
+            step_out.step = s;
+            step_out.insitu_analysis_s = worst;
+            step_out.deferred_halos = deferred;
+            step_out.catalog = std::move(catalog);  // in-situ part
+          }
+          std::ofstream(level2_base(s).string() + ".alldone") << "ok\n";
         }
-        std::ofstream(base.string() + ".alldone") << "ok\n";
+        c.barrier();
       }
-      c.barrier();
-    }
-  });
+    });
+  } catch (...) {
+    drain();
+    throw;
+  }
   result.sim_job_s = sim_timer.finish();
 
-  // Drain: final listener sweep + join every analysis job.
+  // Final listener sweep, then drain.
   listener.wait_for_triggers(cfg.timesteps, std::chrono::milliseconds(10000));
-  listener.stop();
-  for (;;) {
-    std::unique_lock lock(jobs_mutex);
-    if (analysis_jobs.empty()) break;
-    auto t = std::move(analysis_jobs.back());
-    analysis_jobs.pop_back();
-    lock.unlock();
-    t.join();
-  }
+  drain();
   result.listener_triggers = listener.stats().triggers;
   result.listener_polls = listener.stats().polls;
   result.dead_letter_submits = listener.stats().dead_letters;
@@ -277,27 +238,21 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
   // Graceful degradation: any step the co-scheduled path never delivered
   // (dead-lettered submit, missed trigger, or failed analysis job) falls
   // back to in-situ analysis on the simulation job's own resources — the
-  // paper's decision structure — and the downgrade is recorded.
+  // paper's decision structure — and the downgrade is recorded. Every
+  // analysis job has been joined, so the results need no lock.
   for (std::size_t s = 0; s < cfg.timesteps; ++s) {
-    const bool done = [&] {
-      std::lock_guard lock(result_mutex);
-      return offline_done[s] != 0;
-    }();
-    if (done) continue;
+    if (offline_done[s] != 0) continue;
     COSMO_COUNT("workflow.degraded", 1);
     COSMO_TRACE_SPAN_CAT("workflow.degraded_step", "faults");
     ++result.degraded_steps;
-    auto [offline, offline_s] =
-        offline_analysis_for_step(s, cfg.base.ranks, cfg.base.backend);
-    std::lock_guard lock(result_mutex);
+    auto job = level2_job(s, cfg.base.ranks, cfg.base.backend);
     auto& out = result.steps[s];
     out.degraded = true;
-    out.offline_analysis_s = offline_s;
-    out.catalog = stats::reconcile_catalogs(out.catalog, offline);
+    out.offline_analysis_s = job.analysis;
+    out.catalog = stats::reconcile_catalogs(out.catalog, job.catalog);
   }
 
   result.wall_clock_s = campaign_timer.finish();
-  for (auto& s : result.steps) stats::sort_catalog(s.catalog);
   return result;
 }
 

@@ -24,7 +24,6 @@
 // job — the rows of Table 4.
 #pragma once
 
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstring>
@@ -37,7 +36,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "comm/comm.h"
@@ -262,13 +260,14 @@ inline SimJobOutput run_insitu_pipeline(comm::Comm& c,
 
 /// Off-line analysis of Level 2 halo particle sets (the "Moonlight" job):
 /// LPT-balanced center finding (+ SO/subhalos when enabled). Returns the
-/// off-line catalog part; fills per-rank center seconds. `backend` is the
-/// executing cluster's hardware — normally p.analysis_backend, but a
-/// degraded step runs on the simulation side's backend instead.
+/// off-line catalog part on rank 0; fills per-rank center seconds.
+/// `backend` is the executing cluster's hardware — normally
+/// p.analysis_backend, but a degraded step runs on the simulation side's
+/// backend instead.
 inline stats::HaloCatalog analyze_level2(
     comm::Comm& c, const WorkflowProblem& p, dpp::Backend backend,
     const std::vector<sim::ParticleSet>& halos, std::uint64_t total_particles,
-    std::vector<double>* center_seconds_per_rank) {
+    std::vector<double>& center_seconds_per_rank) {
   // Balance halos across analysis ranks by the n² cost model.
   std::vector<std::uint64_t> sizes(halos.size());
   for (std::size_t h = 0; h < halos.size(); ++h) sizes[h] = halos[h].size();
@@ -323,9 +322,7 @@ inline stats::HaloCatalog analyze_level2(
         },
         /*grain=*/1);
   }
-  const double my_seconds = timer.seconds();
-  if (center_seconds_per_rank)
-    *center_seconds_per_rank = c.allgather_value(my_seconds);
+  center_seconds_per_rank = c.allgather_value(timer.seconds());
 
   // Gather the off-line catalog onto rank 0.
   auto bytes = stats::catalog_to_bytes(mine);
@@ -374,16 +371,155 @@ struct Shared {
   WorkflowResult result;
 };
 
+/// Writes producer rank `rank`'s Level 2 file `<base>.<rank>.cosmo`, one
+/// block per deferred halo (the halo id is recoverable as the block's
+/// minimum tag), then its `.done` trigger. A failed or partial write leaves
+/// an unfinalized file the reader would reject, so the whole file is
+/// written again from the start (the deferred halos are still in memory).
+inline void write_level2_file(const std::filesystem::path& base, int rank,
+                              double box,
+                              const std::vector<sim::ParticleSet>& deferred) {
+  const auto path = io::aggregated_file_path(base, rank);
+  util::Retry retry;
+  const auto outcome = retry.run("workflow.level2_write", [&] {
+    io::CosmoIoWriter w(path, {box, 1.0, 0, 0});
+    for (const auto& h : deferred)
+      w.write_block(h, static_cast<std::uint32_t>(rank));
+    w.finalize();
+    return true;
+  });
+  COSMO_REQUIRE(outcome.success,
+                "Level 2 write failed after retries: " + path.string());
+  if (outcome.attempts > 1)
+    COSMO_COUNT("workflow.write_retries",
+                static_cast<std::uint64_t>(outcome.attempts - 1));
+  std::ofstream trigger(io::trigger_path(path));
+  trigger << "ok\n";
+}
+
+/// Appends the halos of producer rank `src`'s Level 2 file.
+inline void read_level2_file(const std::filesystem::path& base, int src,
+                             std::vector<sim::ParticleSet>& halos) {
+  io::CosmoIoReader reader(io::aggregated_file_path(base, src));
+  for (std::uint32_t b = 0; b < reader.num_blocks(); ++b)
+    halos.push_back(reader.read_block(b));
+}
+
+/// What a post-processing job returns to run_workflow or run_campaign: its
+/// catalog part (from rank 0) and the phase maxima of its Table 4 rows.
+struct PostJob {
+  stats::HaloCatalog catalog;
+  double read = 0, redistribute = 0, analysis = 0;
+  std::vector<double> center_per_rank;
+};
+
+/// The Level 2 analysis job: the combined variants' post job and their
+/// degraded fallback, the campaign's per-step job and its post-drain
+/// fallback. On `ranks` ranks with `backend`, each rank acquires the Level 2
+/// halos of producer ranks src ≡ rank (mod ranks) through
+/// `acquire(src, halos)`; once the ranks agree that every acquisition
+/// succeeded, they share all halos and center them with analyze_level2.
+/// Phases are timed under the phase.* spans in span category `cat`.
+template <typename Acquire>
+PostJob run_level2_job(const WorkflowProblem& p, int ranks,
+                       dpp::Backend backend, const std::string& cat,
+                       Acquire&& acquire) {
+  PostJob job;
+  comm::run_spmd(ranks, [&](comm::Comm& c) {
+    std::vector<sim::ParticleSet> halos;
+    double read_s = 0.0;
+    c.agree_or_throw("Level 2 acquisition", [&] {
+      obs::TimedSpan t_read("phase.read", cat);
+      for (int src = c.rank(); src < p.ranks; src += c.size())
+        acquire(src, halos);
+      read_s = t_read.finish();
+    });
+
+    // "Redistribute": collect all halos onto every rank (they are then
+    // LPT-assigned inside analyze_level2). Halo particle sets are shipped
+    // whole — Level 2 communication.
+    obs::TimedSpan t_redist("phase.redistribute", cat);
+    std::vector<sim::ParticleSet> all_halos;
+    std::vector<std::size_t> counts;
+    const auto gathered = c.allgatherv<std::byte>(pack_halos(halos), &counts);
+    // Segments concatenate in rank order; each is self-contained.
+    std::size_t offset = 0;
+    for (const auto len : counts) {
+      const auto segment =
+          std::span<const std::byte>(gathered).subspan(offset, len);
+      for (auto& h : unpack_halos(segment)) all_halos.push_back(std::move(h));
+      offset += len;
+    }
+    const double redist_s = t_redist.finish();
+
+    obs::TimedSpan t_analysis("phase.post_analysis", cat);
+    std::vector<double> center_per_rank;
+    auto catalog = analyze_level2(c, p, backend, all_halos,
+                                  sim::synthetic_total_particles(p.universe),
+                                  center_per_rank);
+    const double analysis_s = t_analysis.finish();
+    const double read_max = phase_max(c, read_s);
+    const double redist_max = phase_max(c, redist_s);
+    const double analysis_max = phase_max(c, analysis_s);
+    if (c.rank() == 0)
+      job = {std::move(catalog), read_max, redist_max, analysis_max,
+             std::move(center_per_rank)};
+  });
+  return job;
+}
+
+/// The off-line variant's full-size post job: reads Level 1 back through
+/// the io layer, restores the slab decomposition, and runs the whole
+/// analysis pipeline.
+inline PostJob run_offline_job(const WorkflowProblem& p) {
+  const std::string cat = to_string(WorkflowKind::OffLine);
+  std::vector<std::filesystem::path> files;
+  const int groups = (p.ranks + p.ranks_per_file - 1) / p.ranks_per_file;
+  for (int g = 0; g < groups; ++g)
+    files.push_back(io::aggregated_file_path(p.workdir / "level1", g));
+  PostJob job;
+  comm::run_spmd(p.ranks, [&](comm::Comm& c) {
+    sim::ParticleSet mine;
+    double read_s = 0.0;
+    c.agree_or_throw("Level 1 read", [&] {
+      obs::TimedSpan t_read("phase.read", cat);
+      mine = io::read_aggregated_blocks(files, c.rank(), c.size());
+      read_s = t_read.finish();
+    });
+    obs::TimedSpan t_redist("phase.redistribute", cat);
+    sim::SlabDecomposition decomp(c.size(), p.universe.box);
+    sim::ParticleSet owned = decomp.redistribute(c, std::move(mine));
+    const double redist_s = t_redist.finish();
+
+    obs::TimedSpan t_analysis("phase.post_analysis", cat);
+    auto out = run_insitu_pipeline(c, p, 0, owned,
+                                   sim::synthetic_total_particles(p.universe));
+    const double analysis_s = t_analysis.finish();
+    auto catalog = gather_catalog(c, out.catalog_part);
+    auto center_all = c.allgather_value(out.center_s);
+    const double read_max = phase_max(c, read_s);
+    const double redist_max = phase_max(c, redist_s);
+    const double analysis_max = phase_max(c, analysis_s);
+    if (c.rank() == 0)
+      job = {std::move(catalog), read_max, redist_max, analysis_max,
+             std::move(center_all)};
+  });
+  return job;
+}
+
 /// The simulation-side job, common to all variants. For OffLine it writes
 /// Level 1 and does no analysis; otherwise it runs the in-situ pipeline
-/// with the given threshold and emits Level 2 for deferred halos via
-/// `emit_level2` (filesystem or staging, variant-dependent).
+/// with the given threshold and, when the threshold defers halos, emits
+/// their Level 2 via `emit_level2` (filesystem or staging, variant-
+/// dependent). Each write is agreed on before the gathers that follow it,
+/// so a rank whose write failed for good fails the job on every rank.
 template <typename EmitLevel2>
 void simulation_job(const WorkflowProblem& p, WorkflowKind kind,
                     std::uint64_t threshold, Shared& shared,
                     EmitLevel2&& emit_level2) {
+  const std::string cat = to_string(kind);
   comm::run_spmd(p.ranks, [&](comm::Comm& c) {
-    obs::TimedSpan t_sim("phase.sim", to_string(kind));
+    obs::TimedSpan t_sim("phase.sim", cat);
     sim::Cosmology cosmo;
     auto universe = sim::generate_synthetic(c, cosmo, p.universe);
     const double sim_s = t_sim.finish();
@@ -393,24 +529,28 @@ void simulation_job(const WorkflowProblem& p, WorkflowKind kind,
     std::uint64_t level2_local = 0;
 
     if (kind == WorkflowKind::OffLine) {
-      obs::TimedSpan t_write("phase.write", to_string(kind));
-      auto wr = io::write_aggregated(
-          c, p.workdir / "level1", universe.local,
-          {p.universe.box, 1.0, universe.total_particles, 0},
-          p.ranks_per_file);
-      write_s = t_write.finish();
-      std::lock_guard lock(shared.mutex);
-      shared.result.level1_bytes += wr.bytes_written;
+      c.agree_or_throw("Level 1 write", [&] {
+        obs::TimedSpan t_write("phase.write", cat);
+        auto wr = io::write_aggregated(
+            c, p.workdir / "level1", universe.local,
+            {p.universe.box, 1.0, universe.total_particles, 0},
+            p.ranks_per_file);
+        write_s = t_write.finish();
+        std::lock_guard lock(shared.mutex);
+        shared.result.level1_bytes += wr.bytes_written;
+      });
     } else {
-      obs::TimedSpan t_analysis("phase.analysis", to_string(kind));
+      obs::TimedSpan t_analysis("phase.analysis", cat);
       out = run_insitu_pipeline(c, p, threshold, universe.local,
                                 universe.total_particles);
       analysis_s = t_analysis.finish();
-      obs::TimedSpan t_write("phase.write", to_string(kind));
-      for (const auto& h : out.deferred)
-        level2_local += h.bytes();
-      emit_level2(c, out);
-      write_s = t_write.finish();
+      for (const auto& h : out.deferred) level2_local += h.bytes();
+      if (threshold != 0)
+        c.agree_or_throw("Level 2 write", [&] {
+          obs::TimedSpan t_write("phase.write", cat);
+          emit_level2(c, out);
+          write_s = t_write.finish();
+        });
     }
 
     // Gather the in-situ catalog part and per-rank timings.
@@ -435,7 +575,7 @@ void simulation_job(const WorkflowProblem& p, WorkflowKind kind,
       r.times.find_per_rank = find_all;
       r.times.center_per_rank = center_all;
       r.times.other_per_rank = other_all;
-      r.catalog = std::move(catalog);  // in-situ part; post job may extend
+      r.catalog = std::move(catalog);  // in-situ part
       r.deferred_halos = deferred_total;
       r.level2_bytes = level2_total;
     }
@@ -450,73 +590,67 @@ inline WorkflowResult run_workflow(WorkflowKind kind,
   COSMO_REQUIRE(!problem.workdir.empty(), "workflow needs a workdir");
   fs::create_directories(problem.workdir);
   detail::Shared shared;
-  shared.result.kind = kind;
+  WorkflowResult& r = shared.result;  // ranks write it under shared.mutex
+  r.kind = kind;
 
   const std::uint64_t threshold =
       kind == WorkflowKind::InSitu || kind == WorkflowKind::OffLine
           ? 0
           : problem.threshold;
 
-  // --- variant-specific Level 2 emission ---------------------------------
-  auto staging = std::make_shared<sched::StagingArea>(problem.staging_capacity);
+  // --- variant-specific Level 2 transport ----------------------------------
+  const fs::path level2_base = problem.workdir / "level2";
+  sched::StagingArea staging(problem.staging_capacity);
   // Producer ranks whose staging put failed and were routed through the
   // filesystem instead; the consumer reads their Level 2 from files.
-  // Guarded by shared.mutex.
+  // Written under shared.mutex by the simulation job, read after it.
   std::set<int> staging_fallback_ranks;
 
-  // One Level 2 file per rank, one block per deferred halo; halo id is
-  // recoverable as the block's minimum tag. Trigger file marks readiness.
-  // A failed or partial write leaves an unfinalized file the reader would
-  // reject, so the whole file is retried from scratch (the deferred halos
-  // are still in memory).
-  auto write_level2_files = [&](int rank,
-                                const std::vector<sim::ParticleSet>& deferred) {
-    const auto path =
-        io::aggregated_file_path(problem.workdir / "level2", rank);
-    util::Retry retry;
-    const auto outcome = retry.run("workflow.level2_write", [&] {
-      io::CosmoIoWriter w(path, {problem.universe.box, 1.0, 0, 0});
-      for (const auto& h : deferred)
-        w.write_block(h, static_cast<std::uint32_t>(rank));
-      w.finalize();
-      return true;
-    });
-    COSMO_REQUIRE(outcome.success,
-                  "Level 2 write failed after retries: " + path.string());
-    if (outcome.attempts > 1)
-      COSMO_COUNT("workflow.write_retries",
-                  static_cast<std::uint64_t>(outcome.attempts - 1));
-    std::ofstream trigger(io::trigger_path(path));
-    trigger << "ok\n";
-  };
-
   auto emit_to_files = [&](comm::Comm& c, detail::SimJobOutput& out) {
-    if (threshold == 0) return;
-    write_level2_files(c.rank(), out.deferred);
+    detail::write_level2_file(level2_base, c.rank(), problem.universe.box,
+                              out.deferred);
   };
-
   auto emit_to_staging = [&](comm::Comm& c, detail::SimJobOutput& out) {
-    if (threshold == 0) return;
-    const auto buf = detail::pack_halos(out.deferred);
-    if (staging->put("level2.rank" + std::to_string(c.rank()), buf)) return;
+    if (staging.put("level2.rank" + std::to_string(c.rank()),
+                    detail::pack_halos(out.deferred)))
+      return;
     // Burst buffer unavailable (capacity exhausted, closed, or injected
     // device failure): fall back to the filesystem — the overflow behaviour
     // the staging area documents — and tell the consumer where to look.
     COSMO_COUNT("workflow.staging_fallbacks", 1);
-    write_level2_files(c.rank(), out.deferred);
+    emit_to_files(c, out);
     std::lock_guard lock(shared.mutex);
-    ++shared.result.staging_fallbacks;
+    ++r.staging_fallbacks;
     staging_fallback_ranks.insert(c.rank());
+  };
+  auto read_from_files = [&](int src, std::vector<sim::ParticleSet>& halos) {
+    detail::read_level2_file(level2_base, src, halos);
+  };
+  // Takes a producer rank's staged buffer (blocking handoff); a rank whose
+  // put fell back to the filesystem is read from its Level 2 file instead.
+  auto take_from_staging = [&](int src, std::vector<sim::ParticleSet>& halos) {
+    if (staging_fallback_ranks.count(src) != 0)
+      return read_from_files(src, halos);
+    const std::string name = "level2.rank" + std::to_string(src);
+    auto buf = staging.take_blocking(name, problem.staging_take_timeout);
+    if (!buf) {
+      // Lost handoff (injected or timed out): the data may still be
+      // resident — retry the take once before giving up.
+      buf = staging.take(name);
+      if (buf) COSMO_COUNT("workflow.staging_take_retries", 1);
+    }
+    COSMO_REQUIRE(buf.has_value(),
+                  "staged Level 2 buffer missing: rank " + std::to_string(src));
+    for (auto& h : detail::unpack_halos(*buf)) halos.push_back(std::move(h));
   };
 
   // --- co-scheduling listener (real, watching the workdir) ---------------
   std::unique_ptr<sched::Listener> listener;
-  std::atomic<int> jobs_submitted{0};
   if (kind == WorkflowKind::CombinedCoScheduled) {
     listener = std::make_unique<sched::Listener>(
         sched::ListenerConfig{problem.workdir, ".done",
                               std::chrono::milliseconds(5)},
-        [&](const fs::path&) { ++jobs_submitted; });
+        [](const fs::path&) {});
     listener->start();
   }
 
@@ -532,10 +666,10 @@ inline WorkflowResult run_workflow(WorkflowKind kind,
                                 std::chrono::milliseconds(5000));
     listener->stop();
     const auto stats = listener->stats();
-    shared.result.listener_triggers = stats.triggers;
-    shared.result.listener_polls = stats.polls;
-    shared.result.dead_letter_submits = stats.dead_letters;
-    shared.result.submit_retries = stats.submit_retries;
+    r.listener_triggers = stats.triggers;
+    r.listener_polls = stats.polls;
+    r.dead_letter_submits = stats.dead_letters;
+    r.submit_retries = stats.submit_retries;
     // Co-scheduled analysis is unavailable when any trigger's submission
     // dead-lettered (failed permanently after retries) or triggers never
     // surfaced at all: degrade the step — the paper's own decision
@@ -553,64 +687,12 @@ inline WorkflowResult run_workflow(WorkflowKind kind,
   }
 
   // --- post-processing job -------------------------------------------------
+  detail::PostJob post;
   if (kind == WorkflowKind::OffLine) {
-    comm::run_spmd(problem.ranks, [&](comm::Comm& c) {
-      sim::SlabDecomposition decomp(c.size(), problem.universe.box);
-      // Read this rank's share of blocks.
-      obs::TimedSpan t_read("phase.read", to_string(kind));
-      std::vector<fs::path> files;
-      const int groups =
-          (problem.ranks + problem.ranks_per_file - 1) / problem.ranks_per_file;
-      for (int g = 0; g < groups; ++g)
-        files.push_back(io::aggregated_file_path(problem.workdir / "level1", g));
-      sim::ParticleSet mine;
-      std::uint64_t total_particles = 0;
-      std::size_t block_counter = 0;
-      for (const auto& f : files) {
-        io::CosmoIoReader reader(f);
-        total_particles = reader.info().total_particles;
-        for (std::uint32_t b = 0; b < reader.num_blocks();
-             ++b, ++block_counter) {
-          if (static_cast<int>(block_counter %
-                               static_cast<std::size_t>(c.size())) != c.rank())
-            continue;
-          mine.append(reader.read_block(b));
-        }
-      }
-      const double read_s = t_read.finish();
-      obs::TimedSpan t_redist("phase.redistribute", to_string(kind));
-      sim::ParticleSet owned = decomp.redistribute(c, std::move(mine));
-      const double redist_s = t_redist.finish();
-
-      obs::TimedSpan t_analysis("phase.post_analysis", to_string(kind));
-      auto out = detail::run_insitu_pipeline(c, problem, 0, owned,
-                                             total_particles);
-      const double analysis_s = t_analysis.finish();
-      auto catalog = detail::gather_catalog(c, out.catalog_part);
-      auto center_all = c.allgather_value(out.center_s);
-
-      const double read_max = detail::phase_max(c, read_s);
-      const double redist_max = detail::phase_max(c, redist_s);
-      const double analysis_max = detail::phase_max(c, analysis_s);
-      if (c.rank() == 0) {
-        obs::TimedSpan t_write("phase.post_write", to_string(kind));
-        std::uint64_t l3 = 0;
-        stats::sort_catalog(catalog);
-        detail::write_level3(problem.workdir / "level3.catalog", catalog, &l3);
-        std::lock_guard lock(shared.mutex);
-        auto& r = shared.result;
-        r.times.read = read_max;
-        r.times.redistribute = redist_max;
-        r.times.post_analysis = analysis_max;
-        r.times.post_write = t_write.finish();
-        r.times.post_center_per_rank = center_all;
-        r.catalog = std::move(catalog);
-        r.level3_bytes = l3;
-      }
-    });
+    post = detail::run_offline_job(problem);
   } else if (kind != WorkflowKind::InSitu) {
     // Combined variants: small analysis job over Level 2. A degraded step
-    // runs the same job shape on the simulation job's ranks and backend —
+    // runs the same job on the simulation job's ranks and backend —
     // in-situ fallback — and records the downgrade.
     const int post_ranks = degraded ? problem.ranks : problem.analysis_ranks;
     const dpp::Backend post_backend =
@@ -618,131 +700,32 @@ inline WorkflowResult run_workflow(WorkflowKind kind,
     std::optional<obs::ScopedSpan> degraded_span;
     if (degraded) {
       COSMO_COUNT("workflow.degraded", 1);
-      shared.result.degraded_steps = 1;
+      r.degraded_steps = 1;
       degraded_span.emplace("workflow.degraded_step", "faults");
     }
-    comm::run_spmd(post_ranks, [&](comm::Comm& c) {
-      obs::TimedSpan t_read("phase.read", to_string(kind));
-      std::vector<sim::ParticleSet> halos;
-      bool read_failed = false;
-      auto read_level2_file = [&](int src) {
-        const auto path =
-            io::aggregated_file_path(problem.workdir / "level2", src);
-        io::CosmoIoReader reader(path);
-        for (std::uint32_t b = 0; b < reader.num_blocks(); ++b)
-          halos.push_back(reader.read_block(b));
-      };
-      try {
-      if (kind == WorkflowKind::CombinedInTransit) {
-        // Take every producer rank's staged buffer (blocking handoff),
-        // dealt round-robin across analysis ranks. Ranks whose put fell
-        // back to the filesystem are read from their Level 2 file instead.
-        for (int src = 0; src < problem.ranks; ++src) {
-          if (src % c.size() != c.rank()) continue;
-          const bool fell_back = [&] {
-            std::lock_guard lock(shared.mutex);
-            return staging_fallback_ranks.count(src) != 0;
-          }();
-          std::optional<std::vector<std::byte>> buf;
-          if (!fell_back) {
-            const std::string name = "level2.rank" + std::to_string(src);
-            buf = staging->take_blocking(name, problem.staging_take_timeout);
-            if (!buf) {
-              // Lost handoff (injected or timed out): the data may still be
-              // resident — retry the take once before giving up.
-              buf = staging->take(name);
-              if (buf) COSMO_COUNT("workflow.staging_take_retries", 1);
-            }
-          }
-          if (buf) {
-            for (auto& h : detail::unpack_halos(*buf))
-              halos.push_back(std::move(h));
-          } else {
-            COSMO_REQUIRE(fell_back, "staged Level 2 buffer missing: rank " +
-                                         std::to_string(src));
-            read_level2_file(src);
-          }
-        }
-      } else {
-        for (int src = 0; src < problem.ranks; ++src) {
-          if (src % c.size() != c.rank()) continue;
-          read_level2_file(src);
-        }
-      }
-      } catch (const std::exception&) {
-        // Keep collectives matched: a rank whose Level 2 acquisition failed
-        // must not bail out while its peers wait in the allgather below.
-        // Agree on the failure first, then all ranks throw together.
-        read_failed = true;
-        halos.clear();
-      }
-      const int any_read_failed =
-          c.allreduce_value(read_failed ? 1 : 0, comm::ReduceOp::Max);
-      COSMO_REQUIRE(any_read_failed == 0,
-                    "Level 2 acquisition failed on a post-processing rank");
-      const double read_s = t_read.finish();
-
-      // "Redistribute": collect all halos onto every rank (they are then
-      // LPT-assigned inside analyze_level2). Halo particle sets are shipped
-      // whole — Level 2 communication.
-      obs::TimedSpan t_redist("phase.redistribute", to_string(kind));
-      std::vector<sim::ParticleSet> all_halos;
-      {
-        const auto buf = detail::pack_halos(halos);
-        std::vector<std::size_t> counts;
-        auto gathered = c.allgatherv<std::byte>(buf, &counts);
-        // Segments concatenate in rank order; each is self-contained.
-        std::size_t offset = 0;
-        for (const auto len : counts) {
-          auto segment = std::span<const std::byte>(gathered).subspan(offset, len);
-          for (auto& h : detail::unpack_halos(segment))
-            all_halos.push_back(std::move(h));
-          offset += len;
-        }
-      }
-      const double redist_s = t_redist.finish();
-
-      obs::TimedSpan t_analysis("phase.post_analysis", to_string(kind));
-      std::vector<double> center_per_rank;
-      auto offline_catalog = detail::analyze_level2(
-          c, problem, post_backend, all_halos,
-          sim::synthetic_total_particles(problem.universe), &center_per_rank);
-      const double analysis_s = t_analysis.finish();
-
-      const double read_max = detail::phase_max(c, read_s);
-      const double redist_max = detail::phase_max(c, redist_s);
-      const double analysis_max = detail::phase_max(c, analysis_s);
-      if (c.rank() == 0) {
-        std::lock_guard lock(shared.mutex);
-        auto& r = shared.result;
-        obs::TimedSpan t_write("phase.post_write", to_string(kind));
-        r.catalog = stats::reconcile_catalogs(r.catalog, offline_catalog);
-        std::uint64_t l3 = 0;
-        detail::write_level3(problem.workdir / "level3.catalog", r.catalog,
-                             &l3);
-        r.times.read = read_max;
-        r.times.redistribute = redist_max;
-        r.times.post_analysis = analysis_max;
-        r.times.post_write = t_write.finish();
-        r.times.post_center_per_rank = center_per_rank;
-        r.level3_bytes = l3;
-      }
-    });
-  } else {
-    // Pure in-situ: rank 0 writes the Level 3 catalog (timed as write).
-    obs::TimedSpan t_write("phase.write", to_string(kind));
-    stats::sort_catalog(shared.result.catalog);
-    std::uint64_t l3 = 0;
-    detail::write_level3(problem.workdir / "level3.catalog",
-                         shared.result.catalog, &l3);
-    shared.result.times.write += t_write.finish();
-    shared.result.level3_bytes = l3;
+    post = kind == WorkflowKind::CombinedInTransit
+               ? detail::run_level2_job(problem, post_ranks, post_backend,
+                                        to_string(kind), take_from_staging)
+               : detail::run_level2_job(problem, post_ranks, post_backend,
+                                        to_string(kind), read_from_files);
   }
+  r.times.read = post.read;
+  r.times.redistribute = post.redistribute;
+  r.times.post_analysis = post.analysis;
+  r.times.post_center_per_rank = std::move(post.center_per_rank);
 
-  if (kind == WorkflowKind::InSitu || kind == WorkflowKind::OffLine)
-    stats::sort_catalog(shared.result.catalog);
-  shared.result.total_halos = shared.result.catalog.size();
-  return shared.result;
+  // --- Level 3: reconcile the in-situ and post-processing parts ------------
+  // Timed as the simulation job's write for pure in-situ, as the post job's
+  // write otherwise.
+  const bool has_post_job = kind != WorkflowKind::InSitu;
+  obs::TimedSpan t_write(has_post_job ? "phase.post_write" : "phase.write",
+                         to_string(kind));
+  r.catalog = stats::reconcile_catalogs(r.catalog, post.catalog);
+  detail::write_level3(problem.workdir / "level3.catalog", r.catalog,
+                       &r.level3_bytes);
+  (has_post_job ? r.times.post_write : r.times.write) += t_write.finish();
+  r.total_halos = r.catalog.size();
+  return r;
 }
 
 }  // namespace cosmo::core

@@ -82,25 +82,34 @@ inline AggregatedWriteResult write_aggregated(comm::Comm& comm,
   return result;
 }
 
-/// Collectively reads files written by write_aggregated: blocks are dealt
-/// round-robin to ranks, then particles are redistributed to their slab
-/// owners. Returns this rank's owned particles.
-inline sim::ParticleSet read_aggregated(comm::Comm& comm,
-                                        const std::vector<std::filesystem::path>& files,
-                                        const sim::SlabDecomposition& decomp) {
-  COSMO_TRACE_SPAN_CAT("io.read_aggregated", "io");
+/// Reads rank `rank`'s share of the blocks in files written by
+/// write_aggregated: blocks are dealt round-robin over `size` ranks in file
+/// order. Rank-local — no communication.
+inline sim::ParticleSet read_aggregated_blocks(
+    const std::vector<std::filesystem::path>& files, int rank, int size) {
   sim::ParticleSet mine;
   std::size_t block_counter = 0;
   for (const auto& f : files) {
     CosmoIoReader reader(f);
     for (std::uint32_t b = 0; b < reader.num_blocks(); ++b, ++block_counter) {
-      if (static_cast<int>(block_counter % static_cast<std::size_t>(
-                               comm.size())) != comm.rank())
+      if (static_cast<int>(block_counter % static_cast<std::size_t>(size)) !=
+          rank)
         continue;
       mine.append(reader.read_block(b));
     }
   }
-  return decomp.redistribute(comm, std::move(mine));
+  return mine;
+}
+
+/// Collectively reads files written by write_aggregated: each rank reads its
+/// round-robin share of blocks, then particles are redistributed to their
+/// slab owners. Returns this rank's owned particles.
+inline sim::ParticleSet read_aggregated(comm::Comm& comm,
+                                        const std::vector<std::filesystem::path>& files,
+                                        const sim::SlabDecomposition& decomp) {
+  COSMO_TRACE_SPAN_CAT("io.read_aggregated", "io");
+  return decomp.redistribute(
+      comm, read_aggregated_blocks(files, comm.rank(), comm.size()));
 }
 
 }  // namespace cosmo::io

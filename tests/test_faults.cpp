@@ -685,6 +685,58 @@ TEST_F(FaultTest, CampaignAbsorbsAnalysisJobDeath) {
 }
 
 // ---------------------------------------------------------------------------
+// Unrecoverable single-rank I/O failures: the job fails on every rank
+// together (Comm::agree_or_throw) instead of leaving the other ranks blocked
+// forever in the job's next collective.
+// ---------------------------------------------------------------------------
+
+TEST_F(FaultTest, OffLineLevel1ReadFailureFailsTheJob) {
+  faults::Plan plan(68);
+  plan.schedule(faults::at("io.read_fail", 0, 1));  // rank 1 loses its block
+  faults::ScopedPlan armed(plan);
+  auto p = make("l1read");
+  EXPECT_THROW(run_workflow(WorkflowKind::OffLine, p), Error);
+  EXPECT_EQ(plan.injected_total(), 1u);
+}
+
+TEST_F(FaultTest, OffLineLevel1WriteFailureFailsTheJob) {
+  faults::Plan plan(69);
+  plan.schedule(faults::at("io.write_fail", 0, 0));  // an aggregation writer
+  faults::ScopedPlan armed(plan);
+  auto p = make("l1write");
+  EXPECT_THROW(run_workflow(WorkflowKind::OffLine, p), Error);
+  EXPECT_EQ(plan.injected_total(), 1u);
+}
+
+/// Fails rank 1's first three Level 2 block writes: every attempt of its
+/// whole-file retry, so the write fails for good.
+void exhaust_rank1_level2_retries(faults::Plan& plan) {
+  for (std::uint64_t occurrence = 0; occurrence < 3; ++occurrence)
+    plan.schedule(faults::at("io.write_fail", occurrence, 1));
+}
+
+TEST_F(FaultTest, ExhaustedLevel2WriteRetriesFailTheWorkflow) {
+  faults::Plan plan(70);
+  exhaust_rank1_level2_retries(plan);
+  faults::ScopedPlan armed(plan);
+  auto p = make("l2write");
+  EXPECT_THROW(run_workflow(WorkflowKind::CombinedSimple, p), Error);
+  EXPECT_EQ(plan.injected_total(), 3u);
+}
+
+TEST_F(FaultTest, ExhaustedLevel2WriteRetriesFailTheCampaign) {
+  faults::Plan plan(71);
+  exhaust_rank1_level2_retries(plan);
+  faults::ScopedPlan armed(plan);
+  CampaignConfig cfg;
+  cfg.base = make("campaign");
+  cfg.timesteps = 2;
+  cfg.growth_per_step = 1.4;
+  EXPECT_THROW(run_campaign(cfg), Error);
+  EXPECT_EQ(plan.injected_total(), 3u);
+}
+
+// ---------------------------------------------------------------------------
 // Replay: the acceptance criterion. A pinned-seed plan over a deterministic
 // workload re-runs bit-identically — same injection log, same retry counts,
 // same degradation decisions, same catalog bytes and Level 3 CRC.

@@ -266,9 +266,7 @@ TEST(ParallelKdTree, QueriesMatchSerialTree) {
 
 // ------------------------------------------------------- per-halo fan-out --
 
-std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P,
-                                                 bool fused,
-                                                 const std::string& extra = {}) {
+std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P) {
   sim::SyntheticConfig ucfg;
   ucfg.box = 32.0;
   ucfg.halo_count = 12;
@@ -284,13 +282,9 @@ std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P,
     sim::SlabDecomposition decomp(P, ucfg.box);
     core::InSituAnalysisManager manager(c, decomp, ucfg.box,
                                         u.total_particles, backend);
-    if (fused)
-      core::register_fused_halo_pipeline(manager);
-    else
-      core::register_full_halo_pipeline(manager);
+    core::register_full_halo_pipeline(manager);
     manager.configure(core::CosmoToolsConfig::parse(
-        "[halofinder]\nlinking_length 0.3\nmin_size 40\noverload 2.0\n" +
-        extra));
+        "[halofinder]\nlinking_length 0.3\nmin_size 40\noverload 2.0\n"));
     sim::StepContext step{1, 1, 1.0, 0.0};
     auto ctx = manager.execute_step(step, u.local);
     per_rank[static_cast<std::size_t>(c.rank())] =
@@ -300,31 +294,12 @@ std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P,
 }
 
 TEST(PerHaloFanout, CatalogBitIdenticalSerialVsThreadPool) {
-  const auto serial = run_pipeline(dpp::Backend::Serial, 2, /*fused=*/false);
-  const auto pooled = run_pipeline(dpp::Backend::ThreadPool, 2,
-                                   /*fused=*/false);
+  const auto serial = run_pipeline(dpp::Backend::Serial, 2);
+  const auto pooled = run_pipeline(dpp::Backend::ThreadPool, 2);
   std::size_t bytes = 0;
   for (const auto& r : serial) bytes += r.size();
   ASSERT_GT(bytes, 0u);
   EXPECT_EQ(serial, pooled);
-}
-
-TEST(PerHaloFanout, FusedChainMatchesSequential) {
-  const auto sequential =
-      run_pipeline(dpp::Backend::ThreadPool, 1, /*fused=*/false);
-  const auto fused = run_pipeline(dpp::Backend::ThreadPool, 1, /*fused=*/true);
-  ASSERT_GT(sequential.front().size(), 0u);
-  EXPECT_EQ(sequential, fused);
-}
-
-TEST(PerHaloFanout, ThresholdDeferralMatchesSequential) {
-  const std::string extra =
-      "[centerfinder]\nthreshold 500\n[haloproperties]\nthreshold 500\n";
-  const auto sequential =
-      run_pipeline(dpp::Backend::ThreadPool, 1, /*fused=*/false, extra);
-  const auto fused =
-      run_pipeline(dpp::Backend::ThreadPool, 1, /*fused=*/true, extra);
-  EXPECT_EQ(sequential, fused);
 }
 
 // ------------------------------------------------------- property kernels --
