@@ -29,6 +29,12 @@
 #                              jobs on listener threads, drained on success
 #                              and on failure) with -DCOSMO_TSAN=ON in
 #                              build-tsan/ and fails on any reported race.
+#   scripts/verify.sh --asan   AddressSanitizer + UBSan pass over the index
+#                              arithmetic: builds test_halo, test_halo_parallel
+#                              (FOF leaf ranges, k-d tree), test_io, test_campaign
+#                              (aggregated I/O, checkpoint restart) and
+#                              test_faults with -DCOSMO_ASAN=ON in build-asan/
+#                              and fails on any report.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -47,6 +53,18 @@ if [[ "${1:-}" == "--tsan" ]]; then
       "$build_dir/tests/$t"
   done
   echo "TSan pass clean."
+  exit 0
+fi
+
+if [[ "${1:-}" == "--asan" ]]; then
+  build_dir="${BUILD_DIR:-$repo_root/build-asan}"
+  asan_tests=(test_halo test_halo_parallel test_io test_campaign test_faults)
+  cmake -B "$build_dir" -S "$repo_root" -DCOSMO_ASAN=ON
+  cmake --build "$build_dir" --target "${asan_tests[@]}" -j "$jobs"
+  for t in "${asan_tests[@]}"; do
+    UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" "$build_dir/tests/$t"
+  done
+  echo "ASan+UBSan pass clean."
   exit 0
 fi
 

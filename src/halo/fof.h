@@ -1,20 +1,30 @@
 // Friends-of-Friends halo finding (§3.3.1).
 //
 // An FOF halo is a connected component of the graph linking particle pairs
-// closer than the linking length b. Within a rank the finder runs on a
-// balanced k-d tree: bounding boxes prune subtrees entirely farther than b
-// and merge subtrees entirely nearer than b without per-pair distance
-// tests. Across ranks, each rank finds halos over its owned+overload
-// particles; a halo is kept by exactly the rank that owns the halo's
-// minimum-tag particle. Provided the overload width is at least the
-// maximum halo extent, that rank has seen the halo in its entirety, so the
-// assignment is both unique and complete.
+// closer than the linking length b. Within a rank the finder links on a
+// balanced k-d tree, one leaf at a time: for each leaf L, in preorder, one
+// walk from the root against L's bounding box
+// - skips nodes that end before L in index() order, so each unordered pair
+//   is looked at from its earlier leaf only, once;
+// - prunes a node whose node–node minimum distance to L exceeds b;
+// - unites L ∪ N outright when the node–node maximum distance is ≤ b (every
+//   pair of L × N links, so L ∪ N is connected);
+// - at a leaf pair, tests dist2(i, j) ≤ b² unless i and j already share a
+//   root.
+// The bounds never misjudge a pair (see kdtree.h), so the components are
+// exactly those of the all-pairs predicate, whatever the blocking. Across
+// ranks, each rank finds halos over its owned+overload particles; a halo is
+// kept by exactly the rank that owns the halo's minimum-tag particle.
+// Provided the overload width is at least the maximum halo extent, that
+// rank has seen the halo in its entirety, so the assignment is both unique
+// and complete.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "comm/comm.h"
@@ -82,31 +92,51 @@ struct FofConfig {
 
 namespace detail {
 
-/// Runs the tree-traversal linking loop for particles [lo, hi), uniting
-/// every pair within the linking length into `sets`.
-inline void fof_link_range(const sim::ParticleSet& p, const KdTree& tree,
-                           double ll2, std::uint32_t lo, std::uint32_t hi,
-                           DisjointSets& sets) {
-  for (std::uint32_t i = lo; i < hi; ++i) {
-    const double qx = p.x[i], qy = p.y[i], qz = p.z[i];
-    tree.traverse(
-        qx, qy, qz,
-        [&](std::int32_t, double dmin2, double dmax2) -> int {
-          if (dmin2 > ll2) return 0;   // prune: nothing in range
-          if (dmax2 <= ll2) return 1;  // accept: whole subtree within b
-          return 2;                    // descend
-        },
-        [&](const KdTree::Node& nd, bool whole) {
-          if (whole) {
-            for (std::uint32_t k = nd.begin; k < nd.end; ++k)
-              sets.unite(i, tree.index()[k]);
-          } else {
-            for (std::uint32_t k = nd.begin; k < nd.end; ++k) {
-              const std::uint32_t j = tree.index()[k];
-              if (tree.dist2(i, j) <= ll2) sets.unite(i, j);
-            }
-          }
-        });
+/// Links every pair within the linking length that has one end in a leaf
+/// of `leaves` (preorder ids) and the other at or after that leaf in
+/// index(), uniting into `sets`. Over all leaves this is every pair, once.
+inline void fof_link_leaves(const KdTree& tree, double ll2,
+                            std::span<const std::int32_t> leaves,
+                            DisjointSets& sets) {
+  const auto idx = tree.index();
+  // A walk's pending nodes: one sibling per level, plus the node in hand.
+  std::vector<std::int32_t> stack;
+  for (const std::int32_t leaf : leaves) {
+    const KdTree::Node& L = tree.node(leaf);
+    const std::uint32_t rep = idx[L.begin];
+    bool leaf_united = false;
+    stack.assign(1, tree.root());
+    while (!stack.empty()) {
+      const KdTree::Node& N = tree.node(stack.back());
+      stack.pop_back();
+      if (N.end <= L.begin) continue;  // its pairs with L were linked from it
+      double dmin2, dmax2;
+      tree.node_dist2(L, N, dmin2, dmax2);
+      if (dmin2 > ll2) continue;
+      if (dmax2 <= ll2) {  // every pair of L × N links: L ∪ N is connected
+        if (!leaf_united) {
+          for (std::uint32_t k = L.begin + 1; k < L.end; ++k)
+            sets.unite(rep, idx[k]);
+          leaf_united = true;
+        }
+        for (std::uint32_t k = N.begin; k < N.end; ++k) sets.unite(rep, idx[k]);
+        continue;
+      }
+      if (!N.leaf()) {
+        stack.push_back(N.right);
+        stack.push_back(N.left);
+        continue;
+      }
+      // N is L itself or a leaf after it: pairs a < b only.
+      for (std::uint32_t a = L.begin; a < L.end; ++a) {
+        const std::uint32_t i = idx[a];
+        for (std::uint32_t b = std::max(N.begin, a + 1); b < N.end; ++b) {
+          const std::uint32_t j = idx[b];
+          if (sets.find(i) == sets.find(j)) continue;
+          if (tree.dist2(i, j) <= ll2) sets.unite(i, j);
+        }
+      }
+    }
   }
 }
 
@@ -114,10 +144,11 @@ inline void fof_link_range(const sim::ParticleSet& p, const KdTree& tree,
 
 /// FOF over `p` under the given periodicity. Returns halos with at least
 /// cfg.min_size members, largest first. On the ThreadPool backend the
-/// per-particle linking loop is partitioned into blocks, each uniting into
-/// a private DisjointSets; the block-local partitions are folded in
-/// ascending block order. Connected components are independent of unite
-/// order, so the catalog is bit-identical to Serial at every grain.
+/// tree's leaves are cut into blocks of about cfg.grain particles (runs of
+/// whole leaves), each uniting into a private DisjointSets; the block-local
+/// partitions are folded in ascending block order. Connected components are
+/// independent of unite order, so the catalog is bit-identical to Serial at
+/// every grain.
 inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
                                      const Periodicity& per,
                                      const FofConfig& cfg) {
@@ -133,6 +164,11 @@ inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
   }();
   DisjointSets sets(n);
   const double ll2 = cfg.linking_length * cfg.linking_length;
+  // The leaves in preorder; their index() ranges tile [0, n) in order.
+  std::vector<std::int32_t> leaves;
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(tree.node_count());
+       ++id)
+    if (tree.node(id).leaf()) leaves.push_back(id);
 
   // Cap the block count like deposit_reduce: memory stays O(workers)
   // private DisjointSets and the ascending fold stays O(blocks · n).
@@ -141,17 +177,25 @@ inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
   const std::size_t min_block = (n + max_blocks - 1) / max_blocks;
   const dpp::detail::BlockDecomposition blocks(n, cfg.grain, min_block);
   if (cfg.backend != dpp::Backend::ThreadPool || blocks.num_blocks <= 1) {
-    detail::fof_link_range(p, tree, ll2, 0, static_cast<std::uint32_t>(n),
-                           sets);
+    detail::fof_link_leaves(tree, ll2, leaves, sets);
   } else {
+    // Block blk links the leaves that begin in its particle range.
+    auto first_leaf = [&](std::size_t pos) {
+      return static_cast<std::size_t>(
+          std::partition_point(leaves.begin(), leaves.end(),
+                               [&](std::int32_t id) {
+                                 return tree.node(id).begin < pos;
+                               }) -
+          leaves.begin());
+    };
     std::vector<DisjointSets> partial(blocks.num_blocks, DisjointSets(n));
     dpp::for_each_index(
         cfg.backend, blocks.num_blocks,
         [&](std::size_t blk) {
-          detail::fof_link_range(p, tree, ll2,
-                                 static_cast<std::uint32_t>(blocks.lo(blk)),
-                                 static_cast<std::uint32_t>(blocks.hi(blk, n)),
-                                 partial[blk]);
+          const std::size_t lo = first_leaf(blocks.lo(blk));
+          const std::size_t hi = first_leaf(blocks.hi(blk, n));
+          detail::fof_link_leaves(
+              tree, ll2, std::span(leaves).subspan(lo, hi - lo), partial[blk]);
         },
         /*grain=*/1);
     for (auto& part : partial)

@@ -1,11 +1,24 @@
 // Balanced k-d tree over particle positions.
 //
 // The workhorse of the FOF halo finder (§3.3.1): built once per rank over
-// the owned+overload particle set, it supports range queries with
-// bounding-box pruning, whole-subtree merges (all particles of a subtree
-// closer than the linking length can be unioned at once), and k-nearest-
-// neighbor queries for the subhalo finder's density estimates. x/y can be
-// periodic (slab decomposition leaves z non-periodic with unwrapped ghosts).
+// the owned+overload particle set. Nodes are numbered in preorder and each
+// covers a contiguous range of index(), so the leaves in preorder tile
+// index() in ascending order. Two bounds drive every query, both from one
+// per-axis interval–interval bound (a point is a zero-width interval):
+// - box_dist2, point–node: range queries, k-nearest neighbours (the subhalo
+//   finder's density estimates) and the A* centre finder's traversal;
+// - node_dist2, node–node: the FOF linker's per-leaf walk, which prunes a
+//   node farther than the linking length from a whole leaf and unites a
+//   node nearer than it with the leaf outright.
+// The bounds are exact, not approximate. Along an axis IEEE rounding is
+// monotone, so differences of the interval ends bracket every coordinate
+// difference across the two intervals. The periodic images shift by ±box;
+// double arithmetic forms those sums exactly for float coordinates not
+// below 2⁻²⁹ of a box that is itself a float (24 significant bits against
+// 53). Squares and their sum, in dist2's order, round monotonically too, so
+// dmin2 ≤ dist2(i, j) ≤ dmax2 holds bit for bit for every pair the two
+// boxes cover. x/y can be periodic (slab decomposition leaves z
+// non-periodic with unwrapped ghosts).
 #pragma once
 
 #include <algorithm>
@@ -102,7 +115,7 @@ class KdTree {
     range_recurse(root_, qx, qy, qz, r * r, fn);
   }
 
-  /// Visitor-based traversal for the FOF subtree-merge optimisation.
+  /// Visitor-based point traversal (the A* centre finder's).
   /// visit(node_id, min_dist2, max_dist2) returns:
   ///   0 = prune (ignore subtree), 1 = accept whole subtree, 2 = descend.
   /// On accept/leaf, leaf_fn(node) is called.
@@ -117,10 +130,22 @@ class KdTree {
   /// respecting periodic dimensions.
   void box_dist2(const Node& n, double qx, double qy, double qz, double& dmin2,
                  double& dmax2) const {
+    const double q[3] = {qx, qy, qz};
     double dmin[3], dmax[3];
-    axis_dist(qx, n.lo[0], n.hi[0], per_.x, dmin[0], dmax[0]);
-    axis_dist(qy, n.lo[1], n.hi[1], per_.y, dmin[1], dmax[1]);
-    axis_dist(qz, n.lo[2], n.hi[2], per_.z, dmin[2], dmax[2]);
+    for (int d = 0; d < 3; ++d)
+      axis_dist(q[d], q[d], n.lo[d], n.hi[d], wraps(d), dmin[d], dmax[d]);
+    dmin2 = dmin[0] * dmin[0] + dmin[1] * dmin[1] + dmin[2] * dmin[2];
+    dmax2 = dmax[0] * dmax[0] + dmax[1] * dmax[1] + dmax[2] * dmax[2];
+  }
+
+  /// Squared min/max distance between any point of a's bounding box and any
+  /// point of b's, respecting periodic dimensions.
+  void node_dist2(const Node& a, const Node& b, double& dmin2,
+                  double& dmax2) const {
+    double dmin[3], dmax[3];
+    for (int d = 0; d < 3; ++d)
+      axis_dist(a.lo[d], a.hi[d], b.lo[d], b.hi[d], wraps(d), dmin[d],
+                dmax[d]);
     dmin2 = dmin[0] * dmin[0] + dmin[1] * dmin[1] + dmin[2] * dmin[2];
     dmax2 = dmax[0] * dmax[0] + dmax[1] * dmax[1] + dmax[2] * dmax[2];
   }
@@ -165,26 +190,32 @@ class KdTree {
   }
 
  private:
-  void axis_dist(double q, double lo, double hi, bool periodic, double& dmin,
-                 double& dmax) const {
-    dmin = interval_dist(q, lo, hi);
-    dmax = (q < lo)   ? hi - q
-           : (q > hi) ? q - lo
-                      : std::max(q - lo, hi - q);
+  bool wraps(int d) const {
+    return d == 0 ? per_.x : d == 1 ? per_.y : per_.z;
+  }
+
+  /// Min/max of |a − b| over a ∈ [alo, ahi], b ∈ [blo, bhi] along one axis.
+  /// For a point (alo == ahi == q) every operation is the one the point
+  /// bound always used: lo − q, q − hi, max(q − lo, hi − q).
+  void axis_dist(double alo, double ahi, double blo, double bhi, bool periodic,
+                 double& dmin, double& dmax) const {
+    dmin = gap(alo, ahi, blo, bhi);
+    dmax = std::max(ahi - blo, bhi - alo);
     if (periodic) {
       const double L = per_.box;
       // Nearest periodic image of the interval gives the true lower bound;
       // the direct max capped at L/2 stays a valid upper bound (periodic
       // distance never exceeds half the box per axis).
-      dmin = std::min({dmin, interval_dist(q + L, lo, hi),
-                       interval_dist(q - L, lo, hi)});
+      dmin = std::min({dmin, gap(alo + L, ahi + L, blo, bhi),
+                       gap(alo - L, ahi - L, blo, bhi)});
       dmax = std::min(dmax, 0.5 * L);
     }
   }
 
-  static double interval_dist(double q, double lo, double hi) {
-    if (q < lo) return lo - q;
-    if (q > hi) return q - hi;
+  /// Distance between two intervals; 0 when they overlap.
+  static double gap(double alo, double ahi, double blo, double bhi) {
+    if (ahi < blo) return blo - ahi;
+    if (alo > bhi) return alo - bhi;
     return 0.0;
   }
 

@@ -101,15 +101,4 @@ inline sim::ParticleSet read_aggregated_blocks(
   return mine;
 }
 
-/// Collectively reads files written by write_aggregated: each rank reads its
-/// round-robin share of blocks, then particles are redistributed to their
-/// slab owners. Returns this rank's owned particles.
-inline sim::ParticleSet read_aggregated(comm::Comm& comm,
-                                        const std::vector<std::filesystem::path>& files,
-                                        const sim::SlabDecomposition& decomp) {
-  COSMO_TRACE_SPAN_CAT("io.read_aggregated", "io");
-  return decomp.redistribute(
-      comm, read_aggregated_blocks(files, comm.rank(), comm.size()));
-}
-
 }  // namespace cosmo::io

@@ -22,6 +22,7 @@
 #include "sched/batch_scheduler.h"
 #include "sched/listener.h"
 #include "sched/staging.h"
+#include "sim/checkpoint.h"
 #include "stats/catalog.h"
 #include "util/crc32.h"
 #include "util/error.h"
@@ -734,6 +735,63 @@ TEST_F(FaultTest, ExhaustedLevel2WriteRetriesFailTheCampaign) {
   cfg.growth_per_step = 1.4;
   EXPECT_THROW(run_campaign(cfg), Error);
   EXPECT_EQ(plan.injected_total(), 3u);
+}
+
+// Checkpoint restart follows the same rule: one rank's failed checkpoint
+// write or read fails every rank, before the collective that comes next.
+
+constexpr double kCheckpointBox = 16.0;
+
+/// 50 particles inside this rank's slab of a 4-rank decomposition.
+sim::ParticleSet slab_particles(const comm::Comm& c) {
+  const sim::SlabDecomposition decomp(c.size(), kCheckpointBox);
+  sim::ParticleSet p;
+  for (int i = 0; i < 50; ++i)
+    p.push_back(static_cast<float>(0.3 * i), static_cast<float>(0.2 * i),
+                static_cast<float>(decomp.z_lo(c.rank()) + 0.07 * i), 0, 0, 0,
+                c.rank() * 100 + i);
+  return p;
+}
+
+TEST_F(FaultTest, CheckpointReadFailureFailsEveryRank) {
+  const auto base = make_dir("ckpt") / "ckpt";
+  comm::run_spmd(4, [&](comm::Comm& c) {
+    sim::write_checkpoint(c, base, slab_particles(c), kCheckpointBox, 0.5, 200,
+                          /*ranks_per_file=*/2);
+  });
+  faults::Plan plan(72);
+  plan.schedule(faults::at("io.read_fail", 0, 2));  // rank 2 loses its block
+  faults::ScopedPlan armed(plan);
+  std::atomic<int> failed_ranks{0};
+  comm::run_spmd(4, [&](comm::Comm& c) {
+    try {
+      sim::read_checkpoint(c, base, kCheckpointBox, /*writer_ranks=*/4,
+                           /*ranks_per_file=*/2);
+    } catch (const Error&) {
+      ++failed_ranks;
+    }
+  });
+  EXPECT_EQ(failed_ranks.load(), 4);
+  EXPECT_EQ(plan.injected_total(), 1u);
+}
+
+TEST_F(FaultTest, CheckpointWriteFailureFailsEveryRank) {
+  const auto base = make_dir("ckpt") / "ckpt";
+  faults::Plan plan(73);
+  plan.schedule(faults::at("io.write_fail", 0, 2));  // group 1's writer
+  faults::ScopedPlan armed(plan);
+  std::atomic<int> failed_ranks{0};
+  comm::run_spmd(4, [&](comm::Comm& c) {
+    try {
+      sim::write_checkpoint(c, base, slab_particles(c), kCheckpointBox, 0.5,
+                            200, /*ranks_per_file=*/2);
+      c.barrier();  // the next collective of a run
+    } catch (const Error&) {
+      ++failed_ranks;
+    }
+  });
+  EXPECT_EQ(failed_ranks.load(), 4);
+  EXPECT_EQ(plan.injected_total(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ std::vector<HaloTuple> to_tuples(const std::vector<FofHalo>& halos) {
   return out;
 }
 
+/// Halo id → member set: the partition, whatever the member order.
+std::map<std::int64_t, std::set<std::uint32_t>> member_sets(
+    const std::vector<FofHalo>& halos) {
+  std::map<std::int64_t, std::set<std::uint32_t>> m;
+  for (const auto& h : halos)
+    m[h.id] = std::set<std::uint32_t>(h.members.begin(), h.members.end());
+  return m;
+}
+
 // ------------------------------------------------------------ parallel FOF --
 
 TEST(ParallelFof, BitIdenticalAcrossGrainsAndBackends) {
@@ -133,13 +142,160 @@ TEST(ParallelFof, MatchesBruteForce) {
   const auto tree_halos = fof_find(p, Periodicity::all(box), cfg);
   const auto brute_halos = fof_brute_force(p, Periodicity::all(box), cfg);
   ASSERT_EQ(tree_halos.size(), brute_halos.size());
-  auto member_sets = [](const std::vector<FofHalo>& halos) {
-    std::map<std::int64_t, std::set<std::uint32_t>> m;
-    for (const auto& h : halos)
-      m[h.id] = std::set<std::uint32_t>(h.members.begin(), h.members.end());
-    return m;
-  };
   EXPECT_EQ(member_sets(tree_halos), member_sets(brute_halos));
+}
+
+// ------------------------------------------- exactness of the leaf linker --
+//
+// Each input is built so that one way of getting the per-leaf walk wrong
+// changes the partition: a pair at exactly b (the link is `<=`), pairs
+// whose leaves lie on either side of a periodic seam, sizes around the leaf
+// size, and subtrees that neighbouring leaves unite outright. min_size 1
+// keeps every component, singletons included, so the whole partition is
+// compared with the all-pairs reference.
+
+void expect_exact_partition(const ParticleSet& p, const Periodicity& per,
+                            double linking_length) {
+  FofConfig cfg;
+  cfg.linking_length = linking_length;
+  cfg.min_size = 1;
+  const auto expected = member_sets(fof_brute_force(p, per, cfg));
+  EXPECT_EQ(member_sets(fof_find(p, per, cfg)), expected) << "Serial";
+  cfg.backend = dpp::Backend::ThreadPool;
+  for (const std::size_t grain :
+       {std::size_t{0}, std::size_t{64}, std::size_t{1024}}) {
+    cfg.grain = grain;
+    EXPECT_EQ(member_sets(fof_find(p, per, cfg)), expected)
+        << "ThreadPool grain " << grain;
+  }
+}
+
+void add_particle(ParticleSet& p, double x, double y, double z) {
+  p.push_back(static_cast<float>(x), static_cast<float>(y),
+              static_cast<float>(z), 0, 0, 0,
+              static_cast<std::int64_t>(p.size()));
+}
+
+/// `count` particles uniform in the cube [x, x+side) × [y, y+side) ×
+/// [z, z+side).
+void add_cube(ParticleSet& p, Rng& rng, int count, double x, double y,
+              double z, double side) {
+  for (int k = 0; k < count; ++k)
+    add_particle(p, rng.uniform(x, x + side), rng.uniform(y, y + side),
+                 rng.uniform(z, z + side));
+}
+
+TEST(ExactFof, PairAtExactlyTheLinkingLengthLinks) {
+  // Dyadic offsets, so every difference, square and sum is exact: each
+  // pair's dist² equals b² = (5/8)² in double. Particles 2b away widen
+  // the leaf boxes, so the pair test, not a box bound, must accept
+  // dist² == b².
+  const double b = 0.625;
+  ParticleSet p;
+  const double offsets[][3] = {
+      {0.625, 0, 0}, {0, 0.625, 0}, {0, 0, 0.625}, {0.375, 0.5, 0}};
+  for (int k = 0; k < 4; ++k) {
+    const double x = 1.0 + 3.0 * k, y = 2.0, z = 2.0;
+    add_particle(p, x, y, z);
+    add_particle(p, x + offsets[k][0], y + offsets[k][1], z + offsets[k][2]);
+    add_particle(p, x - 1.25, y, z);
+    add_particle(p, x, y + 1.25, z + 1.25);
+  }
+  // (2, 3, 6)/8 has length 7/8.
+  add_particle(p, 20.0, 2.0, 2.0);
+  add_particle(p, 20.25, 2.375, 2.75);
+  add_particle(p, 20.0, 0.25, 2.0);
+  add_particle(p, 21.75, 2.0, 2.0);
+  expect_exact_partition(p, Periodicity::none(), b);
+  expect_exact_partition(p, Periodicity::none(), 0.875);
+  expect_exact_partition(p, Periodicity::all(32.0), b);
+}
+
+TEST(ExactFof, CoincidentParticles) {
+  ParticleSet p;
+  auto add_copies = [&](int count, double x, double y, double z) {
+    for (int k = 0; k < count; ++k) add_particle(p, x, y, z);
+  };
+  add_copies(12, 3.0, 3.0, 3.0);   // zero-width leaves
+  add_copies(5, 3.25, 3.0, 3.0);   // within b of them
+  add_copies(9, 5.0, 5.0, 5.0);    // apart
+  add_copies(3, 0.0, 0.0, 0.0);    // on the seam
+  add_copies(3, 7.875, 0.0, 0.0);  // its periodic image is within b
+  Rng rng(31);
+  add_cube(p, rng, 40, 0, 0, 0, 8);
+  expect_exact_partition(p, Periodicity::none(), 0.25);
+  expect_exact_partition(p, Periodicity::all(8.0), 0.25);
+}
+
+TEST(ExactFof, PairsStraddlingPeriodicSeams) {
+  // Pairs across the x, y and z faces of an 8-box, some at exactly
+  // b = 1/4 through the fold (0.125 ↔ 7.875), corner groups, and uniform
+  // filler.
+  const double box = 8.0;
+  ParticleSet p;
+  Rng rng(32);
+  for (int k = 0; k < 6; ++k) {
+    const double u = rng.uniform(1, 7), v = rng.uniform(1, 7);
+    add_particle(p, 0.125, u, v);
+    add_particle(p, 7.875, u, v);
+    add_particle(p, u, 0.05, v);
+    add_particle(p, u, 7.9, v);
+    add_particle(p, u, v, 0.125);
+    add_particle(p, u, v, 7.875);
+    add_cube(p, rng, 1, 0, 7.8, 0, 0.2);
+    add_cube(p, rng, 1, 7.8, 0, 7.8, 0.2);
+  }
+  add_cube(p, rng, 300, 0, 0, 0, box);
+  expect_exact_partition(p, Periodicity::xy(box), 0.25);
+  expect_exact_partition(p, Periodicity::all(box), 0.25);
+}
+
+TEST(ExactFof, SizesAroundTheLeafSize) {
+  for (const int n : {0, 1, 2, 8, 9, 17}) {
+    ParticleSet p;
+    Rng rng(40 + n);
+    add_cube(p, rng, n, 0, 0, 0, 2);
+    SCOPED_TRACE(n);
+    expect_exact_partition(p, Periodicity::none(), 0.6);
+    expect_exact_partition(p, Periodicity::all(2.0), 0.6);
+  }
+}
+
+TEST(ExactFof, WholeNodesUnitedWithWholeLeaves) {
+  // A dense clump: a cube of side 0.1 (diameter < b) holds 400 particles,
+  // so the leaves around it unite whole subtrees of it outright. A second
+  // cube 0.3 away and sparser particles around the first give pairs on
+  // both sides of b.
+  const double b = 0.2;
+  ParticleSet p;
+  Rng rng(50);
+  add_cube(p, rng, 400, 4.0, 4.0, 4.0, 0.1);
+  add_cube(p, rng, 200, 4.4, 4.0, 4.0, 0.1);
+  add_cube(p, rng, 300, 3.75, 3.75, 3.75, 0.6);
+  add_cube(p, rng, 300, 0, 0, 0, 8);
+  expect_exact_partition(p, Periodicity::none(), b);
+  expect_exact_partition(p, Periodicity::all(8.0), b);
+
+  // Two 32-particle trees (leaf size 8) whose one outright union is the
+  // only path between parts of a component. Eight far particles at x = −5
+  // make x the root's split, so the leaves are, in preorder, the far eight,
+  // L at x = 0, then N's two leaves at x = 0.3. With b = 1, all of N is
+  // within b of all of L:
+  // - L is one point; N's leaves sit at y = ∓0.6, 1.2 apart, so only the
+  //   union of L with every member of N joins them;
+  // - L's halves sit at y = ∓0.55, 1.1 apart, and N is one point, so only
+  //   the union of every member of L with N joins them.
+  for (const double spread_l : {0.0, 0.55}) {
+    ParticleSet q;
+    for (int k = 0; k < 8; ++k) add_particle(q, -5.0, 0.0, 0.0);
+    for (int k = 0; k < 8; ++k)
+      add_particle(q, 0.0, k < 4 ? -spread_l : spread_l, 0.0);
+    const double spread_n = spread_l > 0.0 ? 0.0 : 0.6;
+    for (int k = 0; k < 16; ++k)
+      add_particle(q, 0.3, k < 8 ? -spread_n : spread_n, 0.0);
+    SCOPED_TRACE(spread_l);
+    expect_exact_partition(q, Periodicity::none(), 1.0);
+  }
 }
 
 TEST(ParallelFof, MinTagMemberIsArgMin) {

@@ -221,7 +221,8 @@ TEST_P(AggRanks, AggregatedRoundTripThroughRedistribution) {
       EXPECT_TRUE(fs::exists(f));
       EXPECT_TRUE(fs::exists(trigger_path(f)));
     }
-    ParticleSet owned = read_aggregated(c, files, decomp);
+    ParticleSet owned = decomp.redistribute(
+        c, read_aggregated_blocks(files, c.rank(), c.size()));
     for (std::size_t i = 0; i < owned.size(); ++i)
       EXPECT_EQ(decomp.owner_of(owned.z[i]), c.rank());
     std::lock_guard lock(m);
