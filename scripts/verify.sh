@@ -25,16 +25,19 @@
 #                              parallel k-d tree build racing nested
 #                              dispatches), test_workflows (the staging
 #                              handoff between the simulation and Level 2
-#                              jobs) and test_campaign (concurrent analysis
+#                              jobs), test_campaign (concurrent analysis
 #                              jobs on listener threads, drained on success
-#                              and on failure) with -DCOSMO_TSAN=ON in
-#                              build-tsan/ and fails on any reported race.
+#                              and on failure) and test_sim (every rank's
+#                              synthetic-universe radius solve on the shared
+#                              pool) with -DCOSMO_TSAN=ON in build-tsan/ and
+#                              fails on any reported race.
 #   scripts/verify.sh --asan   AddressSanitizer + UBSan pass over the index
 #                              arithmetic: builds test_halo, test_halo_parallel
 #                              (FOF leaf ranges, k-d tree), test_io, test_campaign
-#                              (aggregated I/O, checkpoint restart) and
-#                              test_faults with -DCOSMO_ASAN=ON in build-asan/
-#                              and fails on any report.
+#                              (aggregated I/O, checkpoint restart), test_faults
+#                              and test_sim (the synthetic generator's pre-sized
+#                              particle ranges) with -DCOSMO_ASAN=ON in
+#                              build-asan/ and fails on any report.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -44,11 +47,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-tsan}"
   cmake -B "$build_dir" -S "$repo_root" -DCOSMO_TSAN=ON
   cmake --build "$build_dir" --target test_dpp test_comm test_fft test_faults \
-    test_halo_parallel test_workflows test_campaign -j "$jobs"
+    test_halo_parallel test_workflows test_campaign test_sim -j "$jobs"
   # TSAN_OPTIONS: any race is fatal (non-zero exit), second_deadlock_stack
   # makes lock-order reports actionable.
   for t in test_dpp test_comm test_fft test_faults test_halo_parallel \
-    test_workflows test_campaign; do
+    test_workflows test_campaign test_sim; do
     TSAN_OPTIONS="halt_on_error=0 exitcode=66 second_deadlock_stack=1" \
       "$build_dir/tests/$t"
   done
@@ -58,7 +61,8 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-asan}"
-  asan_tests=(test_halo test_halo_parallel test_io test_campaign test_faults)
+  asan_tests=(test_halo test_halo_parallel test_io test_campaign test_faults
+    test_sim)
   cmake -B "$build_dir" -S "$repo_root" -DCOSMO_ASAN=ON
   cmake --build "$build_dir" --target "${asan_tests[@]}" -j "$jobs"
   for t in "${asan_tests[@]}"; do

@@ -625,10 +625,11 @@ TEST(MbpTileKernel, MonsterHaloSerialEqualsPoolEqualsReference) {
   // every host: without AVX2 it checks the scalar path the same way.
   CenterConfig cfg;
   cfg.box = 48.0;
-  ParticleSet p;
+  ParticleSet p(8203);
   Rng rng(12);
-  sim::detail::sample_nfw_blob(rng, p, 47.2, 24.0, 0.5, 1.6, 5.0, 8203, 0,
-                               0.0);
+  sim::detail::NfwSampler nfw(p, 5.0);
+  nfw.draw(rng, 47.2, 24.0, 0.5, 1.6, p.size(), 0, 0.0);
+  nfw.flush();
   p.wrap_positions(static_cast<float>(cfg.box));
   const auto members = all_members(p);
   ASSERT_GE(members.size(), 8192u);

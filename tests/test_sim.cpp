@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "comm/comm.h"
+#include "dpp/primitives.h"
 #include "sim/cosmology.h"
 #include "util/crc32.h"
 #include "sim/decomposition.h"
@@ -559,6 +561,60 @@ TEST(Simulation, RunsAndGrowsStructure) {
   });
 }
 
+// CRC32 of the particle state for a fixed seed at a fixed rank count
+// (background streams are per-rank, so the rank count is part of the
+// input). Particles are merged across ranks and sorted by tag so the
+// decomposition's ordering does not matter. Only tags below `tag_limit`
+// are hashed: the halo particles are those below Σ truth particles.
+std::uint32_t synthetic_universe_crc(
+    const SyntheticConfig& cfg, int ranks,
+    std::int64_t tag_limit = std::numeric_limits<std::int64_t>::max()) {
+  ParticleSet all;
+  std::mutex m;
+  comm::run_spmd(ranks, [&](comm::Comm& c) {
+    Cosmology cosmo;
+    auto u = generate_synthetic(c, cosmo, cfg);
+    std::lock_guard lock(m);
+    all.append(u.local);
+  });
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t i = 0; i < all.size(); ++i)
+    if (all.tag[i] < tag_limit) order.push_back(i);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return all.tag[a] < all.tag[b];
+  });
+  ParticleSet sorted = all.select(order);
+  std::uint32_t crc = 0;
+  auto chain = [&](const auto& v) {
+    crc = crc32(v.data(), v.size() * sizeof(v[0]), crc);
+  };
+  chain(sorted.x);
+  chain(sorted.y);
+  chain(sorted.z);
+  chain(sorted.vx);
+  chain(sorted.vy);
+  chain(sorted.vz);
+  chain(sorted.phi);
+  chain(sorted.tag);
+  return crc;
+}
+
+// A universe whose larger hosts carry subclumps: placement draws an NFW
+// radius and a direction per clump, then samples each clump as its own
+// blob from the host's stream.
+SyntheticConfig subclump_config() {
+  SyntheticConfig cfg;
+  cfg.box = 32.0;
+  cfg.seed = 20151115;
+  cfg.halo_count = 16;
+  cfg.min_particles = 200;
+  cfg.max_particles = 12000;
+  cfg.subclump_fraction = 0.2;
+  cfg.subclump_min_host = 1000;
+  cfg.background_particles = 400;
+  return cfg;
+}
+
 class SynthRanks : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(RankCounts, SynthRanks, ::testing::Values(1, 2, 4),
                          [](const auto& info) {
@@ -602,6 +658,17 @@ TEST_P(SynthRanks, TruthCatalogIsIdenticalOnAllRanks) {
     const double hmax = c.allreduce_value(h, comm::ReduceOp::Max);
     EXPECT_EQ(hmin, hmax);
   });
+}
+
+TEST_P(SynthRanks, HaloParticlesAreRankCountIndependent) {
+  // Halo particles come from per-halo streams, so every rank count must
+  // produce the same bits for them (background streams are per rank).
+  const SyntheticConfig cfg = subclump_config();
+  const auto halo_particles =
+      static_cast<std::int64_t>(synthetic_total_particles(cfg) -
+                                cfg.background_particles);
+  EXPECT_EQ(synthetic_universe_crc(cfg, GetParam(), halo_particles),
+            synthetic_universe_crc(cfg, 1, halo_particles));
 }
 
 TEST(Synthetic, MassesRespectConfiguredRange) {
@@ -651,40 +718,6 @@ TEST(Synthetic, HalosAreCompactAroundTruthCenters) {
   });
 }
 
-// CRC32 of the full particle state for a fixed seed at a fixed rank count
-// (background streams are per-rank, so the rank count is part of the
-// input). Particles are merged across ranks and sorted by tag so the
-// decomposition's ordering does not matter.
-std::uint32_t synthetic_universe_crc(const SyntheticConfig& cfg, int ranks) {
-  ParticleSet all;
-  std::mutex m;
-  comm::run_spmd(ranks, [&](comm::Comm& c) {
-    Cosmology cosmo;
-    auto u = generate_synthetic(c, cosmo, cfg);
-    std::lock_guard lock(m);
-    all.append(u.local);
-  });
-  std::vector<std::uint32_t> order(all.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return all.tag[a] < all.tag[b];
-  });
-  ParticleSet sorted = all.select(order);
-  std::uint32_t crc = 0;
-  auto chain = [&](const auto& v) {
-    crc = crc32(v.data(), v.size() * sizeof(v[0]), crc);
-  };
-  chain(sorted.x);
-  chain(sorted.y);
-  chain(sorted.z);
-  chain(sorted.vx);
-  chain(sorted.vy);
-  chain(sorted.vz);
-  chain(sorted.phi);
-  chain(sorted.tag);
-  return crc;
-}
-
 TEST(Synthetic, FixedSeedYieldsStableParticleCrc) {
   SyntheticConfig cfg;
   cfg.box = 32.0;
@@ -708,6 +741,20 @@ TEST(Synthetic, FixedSeedYieldsStableParticleCrc) {
   EXPECT_NE(synthetic_universe_crc(other, 2), crc);
 }
 
+TEST(Synthetic, SubclumpUniverseYieldsStableParticleCrc) {
+  const SyntheticConfig cfg = subclump_config();
+  comm::run_spmd(1, [&](comm::Comm& c) {
+    Cosmology cosmo;
+    const auto u = generate_synthetic(c, cosmo, cfg);
+    std::size_t hosts = 0;
+    for (const auto& t : u.truth) hosts += t.subclumps > 0 ? 1 : 0;
+    EXPECT_GE(hosts, 2u) << "the config must plant subclumps";
+  });
+  // Recorded before the sampler was split into a draw and a solve pass.
+  EXPECT_EQ(synthetic_universe_crc(cfg, 2), 0x2DCC36C9u)
+      << "subclump universe CRC drifted";
+}
+
 TEST(Synthetic, SubclumpsPlantedInLargeHalos) {
   SyntheticConfig cfg;
   cfg.halo_count = 8;
@@ -719,6 +766,104 @@ TEST(Synthetic, SubclumpsPlantedInLargeHalos) {
     auto u = generate_synthetic(c, cosmo, cfg);
     for (const auto& t : u.truth) EXPECT_GE(t.subclumps, 2u);
   });
+}
+
+// The 60-step bisection the generator used to run per particle: the
+// reference NfwInverse must reproduce bit for bit.
+double nfw_bisect_reference(double u, double c) {
+  const double target = u * sim::detail::nfw_mu(c);
+  double lo = 0.0, hi = c;
+  for (int it = 0; it < 60; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (sim::detail::nfw_mu(mid) < target ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Over a million u: uniform draws, the ends 0 and 1, 2^-k·U for k ≤ 60
+// (radii deep in the cusp), 1 − 2^-k·U for k ≤ 50 (radii next to c), and
+// dyadic u = j·2^-k, exact binary fractions like hand-picked inputs.
+std::vector<double> nfw_probe_us(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> us = {0.0, 1.0};
+  for (int i = 0; i < 600000; ++i) us.push_back(rng.uniform());
+  for (int k = 1; k <= 60; ++k)
+    for (int i = 0; i < 4000; ++i) us.push_back(std::ldexp(rng.uniform(), -k));
+  for (int k = 1; k <= 50; ++k)
+    for (int i = 0; i < 4000; ++i)
+      us.push_back(1.0 - std::ldexp(rng.uniform(), -k));
+  for (int k = 1; k <= 53; ++k) {
+    const std::uint64_t odd = std::uint64_t{1} << (k - 1);  // odd j < 2^k
+    const std::uint64_t n = std::min<std::uint64_t>(odd, 2048);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t j = n == odd ? 2 * i + 1 : 2 * rng.below(odd) + 1;
+      us.push_back(std::ldexp(static_cast<double>(j), -k));
+    }
+  }
+  return us;
+}
+
+TEST(NfwInverse, MatchesSixtyStepBisectionBitForBit) {
+  for (const double c : {1.5, 5.0, 9.0}) {
+    const sim::detail::NfwInverse inverse(c);
+    const std::vector<double> us = nfw_probe_us(static_cast<std::uint64_t>(c * 8));
+    ASSERT_GE(us.size(), 1000000u);
+    std::vector<char> bad(us.size(), 0);
+    dpp::for_each_index(
+        dpp::Backend::ThreadPool, us.size(),
+        [&](std::size_t k) {
+          bad[k] = !same_bits(inverse(us[k]), nfw_bisect_reference(us[k], c));
+        },
+        4096);
+    const auto first = std::find(bad.begin(), bad.end(), 1);
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 1), 0)
+        << "c = " << c << ", first at u = " << std::hexfloat
+        << (first == bad.end() ? 0.0 : us[first - bad.begin()]);
+  }
+}
+
+// `d` representable doubles above x (below for d < 0); x > 0.
+double ulps_from(double x, std::int64_t d) {
+  return std::bit_cast<double>(std::bit_cast<std::int64_t>(x) + d);
+}
+
+TEST(NfwInverse, AnyBandGivesTheBisectionsBits) {
+  // The certificates, not the Newton root, make the answer exact. Bands
+  // around the answer from one ulp to a million wide, bands on the wrong
+  // side of it, reversed, one-sided and NaN must all give the reference
+  // bits; a band edge a few ulps past the answer is where nfw_mu's
+  // rounding can still compare on the near side, which only the 2B
+  // margin rejects.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double c : {1.5, 5.0, 9.0}) {
+    const sim::detail::NfwInverse inverse(c);
+    Rng rng(static_cast<std::uint64_t>(c * 16));
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 3000; ++i) {
+      const double u = i % 4 == 0 ? std::ldexp(rng.uniform(), -(i % 40))
+                                  : rng.uniform();
+      const double ref = nfw_bisect_reference(u, c);
+      if (!(ref > 0.0)) continue;
+      auto check = [&](double a, double b) {
+        if (!same_bits(inverse(u, a, b), ref) && mismatches++ < 5)
+          ADD_FAILURE() << "c = " << c << ", u = " << std::hexfloat << u
+                        << ", band [" << a << ", " << b << "]";
+      };
+      check(nan, nan);
+      for (const std::int64_t d : {1, 2, 3, 5, 8, 13, 1000, 1000000}) {
+        check(ulps_from(ref, -d), ulps_from(ref, d));
+        check(ulps_from(ref, d), ulps_from(ref, -d));
+        check(ulps_from(ref, d), inf);
+        check(-inf, ulps_from(ref, -d));
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "c = " << c;
+  }
 }
 
 }  // namespace
