@@ -10,12 +10,11 @@
 // one node. It also checks the headline contract: both backends produce a
 // bit-identical δ field (CRC32 over the raw doubles, ghost planes included).
 //
-// Results land in BENCH_pm.json; the serial scenario doubles as the
-// embedded baseline the pooled speedups are quoted against.
+// The serial scenario doubles as the baseline the pooled speedups are
+// quoted against.
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -117,18 +116,6 @@ DepositStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
   return s;
 }
 
-void json_scenario(std::ofstream& j, const char* name, const DepositStats& s,
-                   double baseline_deposit_s, bool last) {
-  j << "    {\"scenario\": \"" << name
-    << "\", \"deposit_s_total\": " << s.deposit_s
-    << ", \"deposit_ms_per_step\": " << s.deposit_s / kReps * 1e3
-    << ", \"wall_s\": " << s.wall_s
-    << ", \"private_buffers\": " << s.buffers << ", \"steals\": " << s.steals
-    << ", \"speedup_vs_serial_baseline\": "
-    << baseline_deposit_s / std::max(s.deposit_s, 1e-12) << "}"
-    << (last ? "\n" : ",\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -169,32 +156,5 @@ int main(int argc, char** argv) {
       serial.crc, dpp::ThreadPool::instance().workers(),
       std::thread::hardware_concurrency());
 
-  {
-    std::ofstream j("BENCH_pm.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"ablation_deposit\",\n"
-      << "  \"pool_workers\": " << dpp::ThreadPool::instance().workers()
-      << ",\n  \"host_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"grid\": " << kGrid << ",\n  \"particles\": " << kParticles
-      << ",\n  \"deposits_per_scenario\": " << kReps
-      << ",\n  \"analysis_drivers\": " << kAnalysisDrivers
-      << ",\n  \"delta_bit_identical\": " << (bit_identical ? "true" : "false")
-      << ",\n  \"delta_crc32\": \"" << std::hex << serial.crc << std::dec
-      << "\",\n"
-      << "  \"baseline_serial_deposit\": {\n"
-      << "    \"note\": \"Backend::Serial scatter-reduce measured in this "
-         "run; pooled speedups below are quoted against it\",\n"
-      << "    \"deposit_s_total\": " << serial.deposit_s
-      << ",\n    \"deposit_ms_per_step\": " << serial.deposit_s / kReps * 1e3
-      << "\n  },\n"
-      << "  \"scenarios\": [\n";
-    json_scenario(j, "serial_standalone", serial, serial.deposit_s, false);
-    json_scenario(j, "pooled_standalone", pooled, serial.deposit_s, false);
-    json_scenario(j, "serial_concurrent_analysis", serial_co, serial_co.deposit_s,
-                  false);
-    json_scenario(j, "pooled_concurrent_analysis", pooled_co, serial_co.deposit_s,
-                  true);
-    j << "  ]\n}\n";
-    if (j.good()) std::printf("wrote BENCH_pm.json\n");
-  }
   return !bit_identical;
 }

@@ -9,12 +9,10 @@
 // process-wide dpp worker pool at once, the co-scheduling scenario the
 // paper's in-situ analysis lives in. Measures aggregate throughput, the
 // dpp.dispatch_wait tail, and (with the work-stealing scheduler) steal
-// counts, for both a uniform and a 10x-imbalanced rank workload. Results
-// land in BENCH_dpp.json so the perf trajectory is recorded run-over-run.
+// counts, for both a uniform and a 10x-imbalanced rank workload.
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
 #include "bench_common.h"
@@ -53,7 +51,6 @@ struct ConcurrentStats {
   std::uint64_t dispatch_wait_us = 0;
   double wait_ms_p99 = 0.0;
   std::uint64_t steals = 0;
-  std::uint64_t dispatches = 0;
 };
 
 double item_work(std::size_t i) {
@@ -114,22 +111,9 @@ ConcurrentStats run_concurrent(int ranks, int dispatches,
   s.items = total_items;
   s.dispatch_wait_us = reg.counter("dpp.dispatch_wait_us").total();
   s.wait_ms_p99 = dispatch_wait_p99_ms();
-  s.dispatches = reg.counter("dpp.dispatches").total();
   if (reg.has_counter("dpp.steals"))
     s.steals = reg.counter("dpp.steals").total();
   return s;
-}
-
-void json_scenario(std::ofstream& j, const char* name, int ranks,
-                   int dispatches, const ConcurrentStats& s, bool last) {
-  j << "    {\"scenario\": \"" << name << "\", \"ranks\": " << ranks
-    << ", \"dispatches_per_rank\": " << dispatches
-    << ", \"wall_s\": " << s.wall_s << ", \"items\": " << s.items
-    << ", \"throughput_items_per_s\": " << (s.items / std::max(s.wall_s, 1e-9))
-    << ", \"dispatch_wait_us_total\": " << s.dispatch_wait_us
-    << ", \"dispatch_wait_ms_p99\": " << s.wait_ms_p99
-    << ", \"pool_dispatches\": " << s.dispatches
-    << ", \"steals\": " << s.steals << "}" << (last ? "\n" : ",\n");
 }
 
 }  // namespace
@@ -240,37 +224,5 @@ int main(int argc, char** argv) {
               dpp::ThreadPool::instance().workers(),
               std::thread::hardware_concurrency());
 
-  {
-    std::ofstream j("BENCH_dpp.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"ablation_dispatch.concurrent\",\n"
-      << "  \"scheduler\": \""
-      << (work_stealing ? "work-stealing" : "serialized-baseline") << "\",\n"
-      << "  \"pool_workers\": " << dpp::ThreadPool::instance().workers()
-      << ",\n  \"host_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"scenarios\": [\n";
-    json_scenario(j, "solo", 1, kDispatches, solo, false);
-    json_scenario(j, "uniform", kRanks, kDispatches, uniform, false);
-    json_scenario(j, "imbalanced_10x", kRanks, kDispatches, imbalanced, true);
-    j << "  ],\n";
-    // Reference run of the SAME scenarios against the pre-redesign
-    // serialized scheduler (captured on a 1-core/2-worker host before the
-    // work-stealing rewrite), kept here so every BENCH_dpp.json carries the
-    // pre/post ablation. Headline: the 10x-imbalanced 4-rank case spent
-    // 979.7 ms total (p99 45 ms) queueing on the dispatch lock, 0 steals.
-    j << "  \"baseline_serialized_scheduler\": {\n"
-      << "    \"note\": \"pre-redesign reference, 1-core host, 2 workers\",\n"
-      << "    \"scenarios\": [\n"
-      << "      {\"scenario\": \"solo\", \"wall_s\": 0.0262, "
-         "\"throughput_items_per_s\": 3.00e7, \"dispatch_wait_us_total\": 0, "
-         "\"dispatch_wait_ms_p99\": 1, \"steals\": 0},\n"
-      << "      {\"scenario\": \"uniform\", \"wall_s\": 0.0899, "
-         "\"throughput_items_per_s\": 3.50e7, \"dispatch_wait_us_total\": "
-         "228334, \"dispatch_wait_ms_p99\": 11, \"steals\": 0},\n"
-      << "      {\"scenario\": \"imbalanced_10x\", \"wall_s\": 0.3784, "
-         "\"throughput_items_per_s\": 2.70e7, \"dispatch_wait_us_total\": "
-         "979655, \"dispatch_wait_ms_p99\": 45, \"steals\": 0}\n"
-      << "    ]\n  }\n}\n";
-    if (j.good()) std::printf("wrote BENCH_dpp.json\n");
-  }
   return 0;
 }

@@ -1,26 +1,20 @@
-// Ablation: batched vs pipelined distributed-FFT transpose exchange.
+// Ablation: the distributed-FFT transposes, standalone and co-scheduled.
 //
 // The PM solve's comm phase is two all-to-all transposes per FFT direction.
-// The batched path packs all P pencil blocks, ships one collective, then
-// unpacks — pack → exchange → unpack strictly sequential per rank, so every
-// microsecond a peer's block is late lands in comm.recv_wait_us. The
-// pipelined path posts each block through an AlltoallvFlatSession the moment
-// it finishes packing and unpacks blocks as they arrive, so most of the
-// exchange hides behind the packing of later blocks
+// Each transpose posts every pencil block through an AlltoallvFlatSession
+// the moment it finishes packing and unpacks blocks as they arrive, so most
+// of the exchange hides behind the packing of later blocks
 // (comm.a2a_blocks_overlapped counts the hidden fraction).
 //
-// Scenarios: batched vs pipelined × Serial vs ThreadPool standalone, both
-// exchange modes co-scheduled with analysis driver threads hammering the
-// shared pool (the paper's in-situ arrangement, medians over interleaved
-// repeats), and an exchange-isolation pair where the recv_wait comparison is
-// structural rather than scheduler-dependent (see kIsoTransposes). The
-// determinism contract is asserted, not assumed: every scenario's k-space
-// output must be CRC-identical. Results land in BENCH_fft.json.
+// Scenarios: Serial vs ThreadPool standalone, and ThreadPool co-scheduled
+// with analysis driver threads hammering the shared pool (the paper's
+// in-situ arrangement, medians over repeats). The determinism contract is
+// asserted, not assumed: every scenario's and every repeat's k-space output
+// must be CRC-identical, or the bench exits nonzero.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -48,32 +42,14 @@ constexpr int kReps = 3;            // forward+inverse pairs per scenario
 // same order as one block pack.
 constexpr int kSkewMs = 10;
 constexpr int kAnalysisDrivers = 2;
-// The co-scheduled scenarios are noisy (the analysis drivers perturb which
-// rank the scheduler lands on at every timeslice), so they are reported as
-// the median over interleaved batched/pipelined pairs.
-constexpr int kCoPairs = 5;
-// Exchange-isolation scenarios: same P, same block geometry and session
-// traffic as the FFT transpose, but the per-block pack compute is replaced
-// by a parked sleep. On a host with fewer cores than ranks the real-FFT
-// scenarios serialize all pack compute onto one core, so the time of the
-// last block arrival — which comm.recv_wait_us telescopes to — is set by
-// scheduler interleaving rather than by exchange structure. Parking the pack
-// stand-ins frees the core for whichever rank is behind, making arrival
-// times structural again: the batched exchange holds every send until the
-// straggler's whole pack phase is done, while the pipelined session has
-// posted all but its last block by then. This pair is the recv_wait
-// acceptance gate; the real-FFT scenarios gate bit-identity and report
-// wall/exchange-span/overlap.
-constexpr int kIsoTransposes = 6;  // matches kReps forward+inverse pairs
-constexpr int kIsoPackMs = 10;     // per-block pack stand-in
-constexpr int kIsoSkewMs = 25;     // imbalanced upstream compute stand-in
-
-using ExchangeMode = fft::DistributedFft::ExchangeMode;
+// The co-scheduled scenario is noisy (the analysis drivers perturb which
+// rank the scheduler lands on at every timeslice), so it is reported as the
+// median over repeats.
+constexpr int kCoRepeats = 5;
 
 struct FftStats {
   double wall_s = 0.0;
   double exchange_s = 0.0;        // fft.exchange span total (all ranks)
-  double pack_s = 0.0;            // fft.pack span total
   std::uint64_t recv_wait_us = 0; // comm.recv_wait_us during the FFT phase
   std::uint64_t overlapped = 0;   // comm.a2a_blocks_overlapped
   std::uint64_t payload_reuse = 0;
@@ -99,7 +75,6 @@ FftStats median_stats(const std::vector<FftStats>& runs) {
   FftStats m;
   m.wall_s = field([](const FftStats& s) { return s.wall_s; });
   m.exchange_s = field([](const FftStats& s) { return s.exchange_s; });
-  m.pack_s = field([](const FftStats& s) { return s.pack_s; });
   m.recv_wait_us = static_cast<std::uint64_t>(
       field([](const FftStats& s) { return static_cast<double>(s.recv_wait_us); }));
   m.overlapped = static_cast<std::uint64_t>(
@@ -123,17 +98,15 @@ double item_work(std::size_t i) {
   return acc;
 }
 
-/// kReps forward+inverse transforms at P=kRanks with the given exchange
-/// mode/backend; optionally with analysis driver threads loading the shared
-/// pool throughout. The CRC folds every rank's k-space slab of the final
+/// kReps forward+inverse transforms at P=kRanks on the given backend;
+/// optionally with analysis driver threads loading the shared pool
+/// throughout. The CRC folds every rank's k-space slab of the final
 /// forward transform (XOR is order-independent, so SPMD rank interleaving
 /// cannot perturb it).
-FftStats run_scenario(ExchangeMode mode, dpp::Backend be,
-                      bool concurrent_analysis) {
+FftStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
   auto& reg = obs::MetricsRegistry::instance();
   reg.reset();
   const double exchange_before = span_total("fft.exchange");
-  const double pack_before = span_total("fft.pack");
 
   std::atomic<bool> stop{false};
   std::atomic<double> sink{0.0};
@@ -157,7 +130,6 @@ FftStats run_scenario(ExchangeMode mode, dpp::Backend be,
   WallTimer wall;
   comm::run_spmd(kRanks, [&](comm::Comm& c) {
     fft::DistributedFft dfft(c, kGrid);
-    dfft.set_exchange_mode(mode);
     dfft.set_backend(be);
     Rng rng(20151115 + static_cast<std::uint64_t>(c.rank()));
     std::vector<fft::Complex> init(dfft.local_size());
@@ -187,7 +159,6 @@ FftStats run_scenario(ExchangeMode mode, dpp::Backend be,
 
   s.crc = crc_acc.load();
   s.exchange_s = span_total("fft.exchange") - exchange_before;
-  s.pack_s = span_total("fft.pack") - pack_before;
   if (reg.has_counter("comm.recv_wait_us"))
     s.recv_wait_us = reg.counter("comm.recv_wait_us").total();
   if (reg.has_counter("comm.a2a_blocks_overlapped"))
@@ -197,101 +168,23 @@ FftStats run_scenario(ExchangeMode mode, dpp::Backend be,
   return s;
 }
 
-struct IsoStats {
-  std::uint64_t recv_wait_us = 0;
-  std::uint64_t overlapped = 0;
-};
-
-/// kIsoTransposes rounds of the transpose's exchange pattern — identical
-/// block sizes and traffic to the real FFT at kGrid/kRanks — with parked
-/// sleeps standing in for pack compute and upstream imbalance (see the
-/// comment at kIsoTransposes for why this isolates exchange structure).
-IsoStats run_isolation(ExchangeMode mode) {
-  auto& reg = obs::MetricsRegistry::instance();
-  reg.reset();
-  const std::size_t nslab = kGrid / kRanks;
-  const std::size_t block = nslab * nslab * kGrid;  // elements per block
-  comm::run_spmd(kRanks, [&](comm::Comm& c) {
-    std::vector<fft::Complex> scratch(block,
-                                      fft::Complex(1.0 + c.rank(), 0.0));
-    std::vector<fft::Complex> sendbuf(block * kRanks,
-                                      fft::Complex(1.0 + c.rank(), 0.0));
-    const std::vector<std::size_t> counts(kRanks, block);
-    for (int t = 0; t < kIsoTransposes; ++t) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(kIsoSkewMs * c.rank()));
-      if (mode == ExchangeMode::Pipelined) {
-        comm::AlltoallvFlatSession<fft::Complex> session(c, counts);
-        for (int step = 1; step <= kRanks; ++step) {
-          const int d = (c.rank() + step) % kRanks;
-          std::this_thread::sleep_for(std::chrono::milliseconds(kIsoPackMs));
-          session.post_block(d, std::span<const fft::Complex>(scratch));
-          session.prefetch();
-        }
-        session.finish([](int, std::span<const fft::Complex>) {});
-      } else {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(kIsoPackMs * kRanks));
-        auto recv = c.alltoallv_flat<fft::Complex>(
-            std::span<const fft::Complex>(sendbuf), counts, counts);
-        (void)recv;
-      }
-    }
-  });
-  IsoStats s;
-  if (reg.has_counter("comm.recv_wait_us"))
-    s.recv_wait_us = reg.counter("comm.recv_wait_us").total();
-  if (reg.has_counter("comm.a2a_blocks_overlapped"))
-    s.overlapped = reg.counter("comm.a2a_blocks_overlapped").total();
-  return s;
-}
-
-void json_scenario(std::ofstream& j, const char* name, const FftStats& s,
-                   bool last) {
-  j << "    {\"scenario\": \"" << name << "\", \"wall_s\": " << s.wall_s
-    << ", \"exchange_s_total\": " << s.exchange_s
-    << ", \"pack_s_total\": " << s.pack_s
-    << ", \"recv_wait_us\": " << s.recv_wait_us
-    << ", \"blocks_overlapped\": " << s.overlapped
-    << ", \"payload_reuse\": " << s.payload_reuse << "}"
-    << (last ? "\n" : ",\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench_common::ObsSession obs_session(argc, argv);
   bench_common::print_header(
-      "Ablation — batched vs pipelined distributed-FFT transpose",
+      "Ablation — distributed-FFT transposes, standalone and co-scheduled",
       "the PM solve's comm phase under co-scheduling (SC'15 section 4)");
 
-  const auto batched = run_scenario(ExchangeMode::Batched,
-                                    dpp::Backend::Serial, false);
-  const auto piped = run_scenario(ExchangeMode::Pipelined,
-                                  dpp::Backend::Serial, false);
-  const auto batched_tp = run_scenario(ExchangeMode::Batched,
-                                       dpp::Backend::ThreadPool, false);
-  const auto piped_tp = run_scenario(ExchangeMode::Pipelined,
-                                     dpp::Backend::ThreadPool, false);
-  std::vector<FftStats> batched_co_runs, piped_co_runs;
-  for (int p = 0; p < kCoPairs; ++p) {
-    batched_co_runs.push_back(
-        run_scenario(ExchangeMode::Batched, dpp::Backend::ThreadPool, true));
-    piped_co_runs.push_back(
-        run_scenario(ExchangeMode::Pipelined, dpp::Backend::ThreadPool, true));
-  }
-  const auto batched_co = median_stats(batched_co_runs);
-  const auto piped_co = median_stats(piped_co_runs);
+  const auto serial = run_scenario(dpp::Backend::Serial, false);
+  const auto pooled = run_scenario(dpp::Backend::ThreadPool, false);
+  std::vector<FftStats> co_runs;
+  for (int r = 0; r < kCoRepeats; ++r)
+    co_runs.push_back(run_scenario(dpp::Backend::ThreadPool, true));
+  const auto co = median_stats(co_runs);
 
-  bool bit_identical = batched.crc == piped.crc &&
-                       batched.crc == batched_tp.crc &&
-                       batched.crc == piped_tp.crc;
-  for (const auto& r : batched_co_runs) bit_identical &= batched.crc == r.crc;
-  for (const auto& r : piped_co_runs) bit_identical &= batched.crc == r.crc;
-
-  const auto iso_batched = run_isolation(ExchangeMode::Batched);
-  const auto iso_piped = run_isolation(ExchangeMode::Pipelined);
-  const bool wait_reduced = iso_piped.recv_wait_us < iso_batched.recv_wait_us;
+  bool bit_identical = serial.crc == pooled.crc;
+  for (const auto& r : co_runs) bit_identical &= serial.crc == r.crc;
 
   TextTable t({"scenario", "wall (s)", "recv wait (ms)", "overlapped",
                "exchange (s)", "reuse"});
@@ -301,57 +194,18 @@ int main(int argc, char** argv) {
                std::to_string(s.overlapped), TextTable::num(s.exchange_s, 3),
                std::to_string(s.payload_reuse)});
   };
-  add("batched serial (baseline)", batched);
-  add("pipelined serial", piped);
-  add("batched pooled", batched_tp);
-  add("pipelined pooled", piped_tp);
-  add("batched pooled + analysis*", batched_co);
-  add("pipelined pooled + analysis*", piped_co);
+  add("serial", serial);
+  add("pooled", pooled);
+  add("pooled + analysis*", co);
   t.print(std::cout);
   std::printf(
       "grid %zu^3 across %d ranks, %d forward+inverse pairs per scenario; "
-      "%d analysis drivers in the co-scheduled scenarios\n"
-      "(* = median over %d interleaved batched/pipelined pairs)\n"
+      "%d analysis drivers in the co-scheduled scenario\n"
+      "(* = median over %d repeats)\n"
       "k-space bit-identical across all scenarios and repeats: %s "
-      "(crc32 %08x)\n"
-      "exchange isolation (%d transposes, parked pack stand-ins): "
-      "batched %.2f ms, pipelined %.2f ms (%lu blocks overlapped)\n"
-      "pipelined reduces recv_wait vs batched (exchange isolation): %s\n",
-      kGrid, kRanks, kReps, kAnalysisDrivers, kCoPairs,
+      "(crc32 %08x)\n",
+      kGrid, kRanks, kReps, kAnalysisDrivers, kCoRepeats,
       bit_identical ? "YES" : "NO — determinism contract violated",
-      batched.crc, kIsoTransposes,
-      static_cast<double>(iso_batched.recv_wait_us) / 1e3,
-      static_cast<double>(iso_piped.recv_wait_us) / 1e3,
-      static_cast<unsigned long>(iso_piped.overlapped),
-      wait_reduced ? "YES" : "NO");
-
-  {
-    std::ofstream j("BENCH_fft.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"ablation_fft\",\n"
-      << "  \"pool_workers\": " << dpp::ThreadPool::instance().workers()
-      << ",\n  \"host_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"grid\": " << kGrid << ",\n  \"ranks\": " << kRanks
-      << ",\n  \"fft_pairs_per_scenario\": " << kReps
-      << ",\n  \"analysis_drivers\": " << kAnalysisDrivers
-      << ",\n  \"co_scheduled_pairs\": " << kCoPairs
-      << ",\n  \"exchange_isolation\": {\"transposes\": " << kIsoTransposes
-      << ", \"pack_ms\": " << kIsoPackMs << ", \"skew_ms\": " << kIsoSkewMs
-      << ", \"batched_recv_wait_us\": " << iso_batched.recv_wait_us
-      << ", \"pipelined_recv_wait_us\": " << iso_piped.recv_wait_us
-      << ", \"pipelined_blocks_overlapped\": " << iso_piped.overlapped << "}"
-      << ",\n  \"kspace_bit_identical\": " << (bit_identical ? "true" : "false")
-      << ",\n  \"kspace_crc32\": \"" << std::hex << batched.crc << std::dec
-      << "\",\n  \"recv_wait_reduced_at_p4\": "
-      << (wait_reduced ? "true" : "false") << ",\n"
-      << "  \"scenarios\": [\n";
-    json_scenario(j, "batched_serial", batched, false);
-    json_scenario(j, "pipelined_serial", piped, false);
-    json_scenario(j, "batched_threadpool", batched_tp, false);
-    json_scenario(j, "pipelined_threadpool", piped_tp, false);
-    json_scenario(j, "batched_concurrent_analysis_median", batched_co, false);
-    json_scenario(j, "pipelined_concurrent_analysis_median", piped_co, true);
-    j << "  ]\n}\n";
-    if (j.good()) std::printf("wrote BENCH_fft.json\n");
-  }
-  return !(bit_identical && wait_reduced);
+      serial.crc);
+  return !bit_identical;
 }

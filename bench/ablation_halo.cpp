@@ -15,13 +15,10 @@
 // catalog is CRC'd (sorted by id, raw record bytes) and the process exits
 // nonzero if any backend or scenario disagrees — the pooled chain must be
 // bit-identical to serial, not merely statistically close.
-//
-// Results land in BENCH_halo.json.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -45,7 +42,6 @@ constexpr int kAnalysisDrivers = 2;
 struct HaloChainStats {
   double step_median_s = 0.0;  // median analysis step wall time
   double fof_s = 0.0;          // halo.fof span total across all reps
-  double tree_s = 0.0;         // halo.tree
   double centers_s = 0.0;      // halo.centers
   double props_s = 0.0;        // halo.properties
   std::size_t halos = 0;
@@ -72,7 +68,6 @@ double item_work(std::size_t i) {
 /// pool for the whole duration (the co-scheduled in-situ job).
 HaloChainStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
   const double fof0 = span_total("halo.fof");
-  const double tree0 = span_total("halo.tree");
   const double centers0 = span_total("halo.centers");
   const double props0 = span_total("halo.properties");
 
@@ -136,22 +131,9 @@ HaloChainStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
   std::sort(step_s.begin(), step_s.end());
   s.step_median_s = step_s[step_s.size() / 2];
   s.fof_s = span_total("halo.fof") - fof0;
-  s.tree_s = span_total("halo.tree") - tree0;
   s.centers_s = span_total("halo.centers") - centers0;
   s.props_s = span_total("halo.properties") - props0;
   return s;
-}
-
-void json_scenario(std::ofstream& j, const char* name, const HaloChainStats& s,
-                   double baseline_step_s, bool last) {
-  j << "    {\"scenario\": \"" << name
-    << "\", \"step_median_s\": " << s.step_median_s
-    << ", \"fof_s_total\": " << s.fof_s << ", \"tree_s_total\": " << s.tree_s
-    << ", \"centers_s_total\": " << s.centers_s
-    << ", \"properties_s_total\": " << s.props_s
-    << ", \"speedup_vs_serial\": "
-    << baseline_step_s / std::max(s.step_median_s, 1e-12) << "}"
-    << (last ? "\n" : ",\n");
 }
 
 }  // namespace
@@ -197,31 +179,5 @@ int main(int argc, char** argv) {
       serial.crc, dpp::ThreadPool::instance().workers(),
       std::thread::hardware_concurrency());
 
-  {
-    std::ofstream j("BENCH_halo.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"ablation_halo\",\n"
-      << "  \"pool_workers\": " << dpp::ThreadPool::instance().workers()
-      << ",\n  \"host_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"catalog_halos\": " << serial.halos
-      << ",\n  \"steps_per_scenario\": " << kReps
-      << ",\n  \"analysis_drivers\": " << kAnalysisDrivers
-      << ",\n  \"catalog_bit_identical\": "
-      << (bit_identical ? "true" : "false") << ",\n  \"catalog_crc32\": \""
-      << std::hex << serial.crc << std::dec << "\",\n"
-      << "  \"baseline_serial_step\": {\n"
-      << "    \"note\": \"Backend::Serial chain measured in this run; "
-         "pooled speedups below are quoted against the matching serial "
-         "scenario\",\n"
-      << "    \"step_median_s\": " << serial.step_median_s << "\n  },\n"
-      << "  \"scenarios\": [\n";
-    json_scenario(j, "serial_standalone", serial, serial.step_median_s, false);
-    json_scenario(j, "pooled_standalone", pooled, serial.step_median_s, false);
-    json_scenario(j, "serial_concurrent_analysis", serial_co,
-                  serial_co.step_median_s, false);
-    json_scenario(j, "pooled_concurrent_analysis", pooled_co,
-                  serial_co.step_median_s, true);
-    j << "  ]\n}\n";
-    if (j.good()) std::printf("wrote BENCH_halo.json\n");
-  }
   return !bit_identical;
 }

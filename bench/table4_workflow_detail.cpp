@@ -56,25 +56,6 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  // Machine-readable copy of the table for downstream tooling.
-  {
-    std::ofstream j("BENCH_table4.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"table4_workflow_detail\",\n  \"workflows\": [";
-    for (int i = 0; i < 5; ++i) {
-      const auto& ph = results[i].times;
-      j << (i ? "," : "") << "\n    {\"workflow\": \"" << cases[i].label
-        << "\", \"sim_s\": " << ph.sim << ", \"analysis_s\": " << ph.analysis
-        << ", \"write_s\": " << ph.write << ", \"read_s\": " << ph.read
-        << ", \"redistribute_s\": " << ph.redistribute
-        << ", \"post_analysis_s\": " << ph.post_analysis
-        << ", \"post_write_s\": " << ph.post_write
-        << ", \"sim_total_s\": " << ph.sim_total()
-        << ", \"post_total_s\": " << ph.post_total() << "}";
-    }
-    j << "\n  ]\n}\n";
-    if (j.good()) std::printf("\nwrote BENCH_table4.json\n");
-  }
-
   // Queueing: model the three strategies on a busy Titan-like machine.
   // Background load: a stream of large jobs that an analysis job needing
   // the full partition must wait behind.

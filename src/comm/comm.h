@@ -14,7 +14,6 @@
 // tags, so the whole stack is exercised through one code path.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -316,8 +315,6 @@ class Comm {
     if (counts) {
       *counts = std::move(root_counts);
       bcast(*counts, 0);
-    } else if (rank_ == 0) {
-      // nothing further to distribute
     }
     return all;
   }
@@ -330,7 +327,7 @@ class Comm {
 
   /// Personalized all-to-all: send[dest] goes to rank dest; returns one
   /// buffer per source rank. This is the redistribution workhorse (particle
-  /// exchange, FFT transpose).
+  /// exchange); the FFT transposes use the incremental AlltoallvFlatSession.
   template <typename T>
   std::vector<std::vector<T>> alltoallv(
       const std::vector<std::vector<T>>& send) {
@@ -352,61 +349,6 @@ class Comm {
       recv_bufs[static_cast<std::size_t>(src)] = recv_raw<T>(src, kTagAllToAll);
     }
     return recv_bufs;
-  }
-
-  /// Personalized all-to-all over ONE contiguous buffer with precomputed
-  /// counts and displacements — the batched redistribution path (distributed
-  /// FFT transposes). `send` is laid out destination-major: rank d's block
-  /// starts at sum(send_counts[0..d)). `recv_counts[s]` must equal the
-  /// element count rank s sends to this rank (callers with a regular
-  /// decomposition know it by symmetry). Returns the received elements
-  /// source-major in one contiguous buffer. Compared to alltoallv, this
-  /// skips the per-destination vector allocations and the per-source
-  /// payload-to-vector copy, and the self block never touches the mailbox.
-  template <typename T>
-  std::vector<T> alltoallv_flat(std::span<const T> send,
-                                std::span<const std::size_t> send_counts,
-                                std::span<const std::size_t> recv_counts) {
-    const int P = size();
-    COSMO_REQUIRE(static_cast<int>(send_counts.size()) == P &&
-                      static_cast<int>(recv_counts.size()) == P,
-                  "alltoallv_flat needs one count per rank");
-    std::vector<std::size_t> sdisp(static_cast<std::size_t>(P) + 1, 0);
-    std::vector<std::size_t> rdisp(static_cast<std::size_t>(P) + 1, 0);
-    for (int r = 0; r < P; ++r) {
-      sdisp[static_cast<std::size_t>(r) + 1] =
-          sdisp[static_cast<std::size_t>(r)] +
-          send_counts[static_cast<std::size_t>(r)];
-      rdisp[static_cast<std::size_t>(r) + 1] =
-          rdisp[static_cast<std::size_t>(r)] +
-          recv_counts[static_cast<std::size_t>(r)];
-    }
-    COSMO_REQUIRE(sdisp[static_cast<std::size_t>(P)] == send.size(),
-                  "alltoallv_flat send buffer size does not match counts");
-    COSMO_COUNT("comm.alltoallv", 1);
-    COSMO_COUNT("comm.alltoallv_flat", 1);
-    // Stagger destinations so mailboxes fill roughly evenly.
-    for (int step = 1; step < P; ++step) {
-      const int dest = (rank_ + step) % P;
-      send_raw(dest, kTagAllToAll,
-               std::span<const T>(
-                   send.data() + sdisp[static_cast<std::size_t>(dest)],
-                   send_counts[static_cast<std::size_t>(dest)]));
-    }
-    std::vector<T> recv(rdisp[static_cast<std::size_t>(P)]);
-    COSMO_REQUIRE(send_counts[static_cast<std::size_t>(rank_)] ==
-                      recv_counts[static_cast<std::size_t>(rank_)],
-                  "alltoallv_flat self-block count mismatch");
-    std::copy_n(send.data() + sdisp[static_cast<std::size_t>(rank_)],
-                send_counts[static_cast<std::size_t>(rank_)],
-                recv.data() + rdisp[static_cast<std::size_t>(rank_)]);
-    for (int src = 0; src < P; ++src) {
-      if (src == rank_) continue;
-      recv_raw_into(src, kTagAllToAll,
-                    recv.data() + rdisp[static_cast<std::size_t>(src)],
-                    recv_counts[static_cast<std::size_t>(src)]);
-    }
-    return recv;
   }
 
   /// Inclusive scan of a scalar across ranks (rank r gets op over ranks 0..r).
@@ -489,28 +431,6 @@ class Comm {
     world_->box(dest).put(std::move(msg));
   }
 
-  /// recv_raw variant writing straight into caller storage (no intermediate
-  /// vector): the received payload must be exactly `count` elements.
-  template <typename T>
-  void recv_raw_into(int source, int tag, T* dst, std::size_t count) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    COSMO_REQUIRE(source >= 0 && source < size(), "source rank out of range");
-#ifndef COSMO_OBS_DISABLED
-    WallTimer wait_timer;
-#endif
-    detail::Message msg = world_->box(rank_).take(source, tag);
-#ifndef COSMO_OBS_DISABLED
-    COSMO_COUNT("comm.recv_wait_us",
-                static_cast<std::uint64_t>(wait_timer.seconds() * 1e6));
-    COSMO_COUNT("comm.msgs_recv", 1);
-    COSMO_COUNT("comm.bytes_recv", msg.payload.size());
-#endif
-    COSMO_REQUIRE(msg.payload.size() == count * sizeof(T),
-                  "message size does not match expected element count");
-    if (count != 0) std::memcpy(dst, msg.payload.data(), msg.payload.size());
-    world_->release_payload(std::move(msg.payload));
-  }
-
   template <typename T>
   std::vector<T> recv_raw(int source, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -538,29 +458,27 @@ class Comm {
   int rank_;
 };
 
-/// Incremental personalized all-to-all — the pipelined counterpart of
-/// alltoallv_flat. Where the batched collective requires the whole send
-/// buffer up front and delivers the whole receive buffer at once, a session
-/// lets the caller
+/// Incremental personalized all-to-all — the exchange under the distributed
+/// FFT's transposes. Where alltoallv needs every send buffer up front and
+/// returns every receive buffer at once, a session lets the caller
 ///   * post_block(d, span)  — ship destination d's block the moment it is
 ///     ready (producers overlap packing with the exchange),
 ///   * prefetch()           — non-blocking: move every landed block out of
 ///     the mailbox into the session (payload moves only — cheap enough to
 ///     call between packs without delaying the caller's own posts),
-///   * poll(on_block)       — non-blocking: deliver every block already
-///     landed or prefetched (consumers overlap unpacking with later packs),
 ///   * finish(on_block)     — block until every remaining source block has
 ///     arrived (payload moves only — no unpack compute runs while peers are
-///     still packing), then deliver everything in arrival order.
-/// on_block(src, span<const T>) is invoked exactly once per source rank, in
-/// arrival order; callers that need a deterministic result must write each
-/// block to a source-addressed (disjoint) region, as the FFT transposes do.
+///     still packing), then deliver the self block and every peer block in
+///     arrival order.
+/// on_block(src, span<const T>) is invoked exactly once per source rank;
+/// callers that need a deterministic result must write each block to a
+/// source-addressed (disjoint) region, as the FFT transposes do.
 ///
 /// Matching mirrors the collectives' contract: every rank opens sessions in
 /// the same order, each session consumes exactly one block per source (the
 /// mailbox's per-source FIFO keeps back-to-back sessions from stealing each
 /// other's blocks), and the self block never touches the mailbox. Blocks
-/// that prefetch/poll found already landed are counted as
+/// that prefetch found already landed are counted as
 /// comm.a2a_blocks_overlapped — the hidden fraction of the exchange.
 template <typename T>
 class AlltoallvFlatSession {
@@ -577,7 +495,7 @@ class AlltoallvFlatSession {
     COSMO_REQUIRE(static_cast<int>(recv_counts_.size()) == comm.size(),
                   "session needs one recv count per rank");
     // Mailbox matching starts wanting every peer; the self block is
-    // delivered out of band at the first poll/finish after its post.
+    // delivered out of band by finish.
     for (int r = 0; r < comm.size(); ++r)
       wanted_[static_cast<std::size_t>(r)] = r != comm.rank();
     COSMO_COUNT("comm.alltoallv_sessions", 1);
@@ -588,35 +506,31 @@ class AlltoallvFlatSession {
 
   /// Ships destination `dest`'s block. Buffered-send semantics: the data is
   /// copied out immediately, so the caller may reuse the span's storage for
-  /// the next block. Each destination must be posted exactly once.
+  /// the next block. Each destination must be posted exactly once; the self
+  /// block must match this rank's own recv count, as every peer block must
+  /// when it is delivered.
   void post_block(int dest, std::span<const T> block) {
     COSMO_REQUIRE(dest >= 0 && dest < comm_->size(), "destination out of range");
-    COSMO_REQUIRE(!posted_[static_cast<std::size_t>(dest)],
-                  "session block posted twice");
-    posted_[static_cast<std::size_t>(dest)] = 1;
-    ++posted_count_;
+    const auto d = static_cast<std::size_t>(dest);
+    COSMO_REQUIRE(!posted_[d], "session block posted twice");
     if (dest == comm_->rank()) {
+      COSMO_REQUIRE(block.size() == recv_counts_[d],
+                    "session block size does not match recv count");
       self_.assign(block.begin(), block.end());
       self_pending_ = true;
     } else {
       comm_->send_raw(dest, Comm::kTagAllToAllPipe, block);
     }
-  }
-
-  /// Non-blocking drain: delivers every source block already landed (and the
-  /// self block once posted). Returns the number of blocks delivered.
-  template <typename F>
-  std::size_t poll(F&& on_block) {
-    return drain(/*block_until_done=*/false, on_block);
+    posted_[d] = 1;
+    ++posted_count_;
   }
 
   /// Non-blocking receive WITHOUT delivery: moves every landed source block
   /// out of the mailbox into the session's stash (payload pointer moves, no
-  /// copy). Cheap enough to call between packs — unlike poll, it never runs
-  /// the caller's unpack in the middle of the producing loop, so the
-  /// caller's own posts are not delayed behind consume work. Stashed blocks
-  /// are delivered first (in arrival order) by the next poll/finish.
-  /// Returns the number of blocks stashed.
+  /// copy). Cheap enough to call between packs: it never runs the caller's
+  /// unpack in the middle of the producing loop, so the caller's own posts
+  /// are not delayed behind consume work. Stashed blocks are delivered (in
+  /// arrival order) by finish. Returns the number of blocks stashed.
   std::size_t prefetch() {
     std::size_t taken = 0;
     while (peers_remaining_ > stash_.size()) {
@@ -636,78 +550,43 @@ class AlltoallvFlatSession {
   /// Blocking drain of every outstanding source block. All destinations must
   /// have been posted first (a rank that blocked here without sending would
   /// deadlock its peers). Every outstanding block is received (payload moves
-  /// only) BEFORE any on_block runs, so the unpack compute of early arrivals
-  /// never steals cycles from the stragglers still packing. After finish the
-  /// session is complete.
+  /// only) BEFORE any on_block runs: while this rank waits, the stragglers
+  /// it waits on are still packing, and interposing consume work between
+  /// takes would slow exactly those peers whenever cores are shared (the
+  /// co-scheduled regime). Payload moves are the only work inside the timed
+  /// window, so comm.recv_wait_us measures pure block availability. After
+  /// finish the session is complete.
   template <typename F>
   void finish(F&& on_block) {
     COSMO_REQUIRE(posted_count_ == comm_->size(),
                   "session finish before every block was posted");
-    drain(/*block_until_done=*/true, on_block);
-  }
-
-  /// Blocks (self included) not yet delivered to on_block.
-  std::size_t remaining() const {
-    return peers_remaining_ + (self_delivered_ ? 0 : 1);
-  }
-
- private:
-  template <typename F>
-  std::size_t drain(bool block_until_done, F& on_block) {
-    std::size_t delivered = 0;
-    // Blocking drain: pull EVERY outstanding block into the stash before
-    // running any unpack compute. While this rank waits, the stragglers it
-    // waits on are still packing — interposing consume work between takes
-    // would slow exactly those peers whenever cores are shared (the
-    // co-scheduled regime), lengthening everyone's wait. Payload moves are
-    // the only work inside the timed window, so comm.recv_wait_us measures
-    // pure block availability, comparable across exchange modes.
-    if (block_until_done) {
-      while (stash_.size() < peers_remaining_) {
+    while (stash_.size() < peers_remaining_) {
 #ifndef COSMO_OBS_DISABLED
-        WallTimer wait_timer;
+      WallTimer wait_timer;
 #endif
-        auto msg = comm_->world_->box(comm_->rank())
-                       .take_any(Comm::kTagAllToAllPipe, wanted_, true);
-#ifndef COSMO_OBS_DISABLED
-        COSMO_COUNT("comm.recv_wait_us",
-                    static_cast<std::uint64_t>(wait_timer.seconds() * 1e6));
-#endif
-        COSMO_COUNT("comm.msgs_recv", 1);
-        COSMO_COUNT("comm.bytes_recv", msg->payload.size());
-        wanted_[static_cast<std::size_t>(msg->source)] = 0;
-        stash_.push_back(std::move(*msg));
-      }
-    }
-    if (self_pending_) {
-      self_pending_ = false;
-      self_delivered_ = true;
-      on_block(comm_->rank(), std::span<const T>(self_));
-      self_.clear();
-      self_.shrink_to_fit();
-      ++delivered;
-    }
-    // Stashed blocks in arrival order.
-    while (!stash_.empty()) {
-      detail::Message msg = std::move(stash_.front());
-      stash_.erase(stash_.begin());
-      deliver(std::move(msg), on_block);
-      ++delivered;
-    }
-    while (!block_until_done && peers_remaining_ > 0) {
       auto msg = comm_->world_->box(comm_->rank())
-                     .take_any(Comm::kTagAllToAllPipe, wanted_, false);
-      if (!msg) break;
-      COSMO_COUNT("comm.a2a_blocks_overlapped", 1);
+                     .take_any(Comm::kTagAllToAllPipe, wanted_, true);
+#ifndef COSMO_OBS_DISABLED
+      COSMO_COUNT("comm.recv_wait_us",
+                  static_cast<std::uint64_t>(wait_timer.seconds() * 1e6));
+#endif
       COSMO_COUNT("comm.msgs_recv", 1);
       COSMO_COUNT("comm.bytes_recv", msg->payload.size());
       wanted_[static_cast<std::size_t>(msg->source)] = 0;
-      deliver(std::move(*msg), on_block);
-      ++delivered;
+      stash_.push_back(std::move(*msg));
     }
-    return delivered;
+    if (self_pending_) {
+      self_pending_ = false;
+      on_block(comm_->rank(), std::span<const T>(self_));
+      self_.clear();
+      self_.shrink_to_fit();
+    }
+    // Stashed blocks in arrival order.
+    for (auto& msg : stash_) deliver(std::move(msg), on_block);
+    stash_.clear();
   }
 
+ private:
   template <typename F>
   void deliver(detail::Message&& msg, F& on_block) {
     const int src = msg.source;
@@ -727,7 +606,6 @@ class AlltoallvFlatSession {
   std::vector<std::uint8_t> posted_;  // destinations already posted
   std::vector<T> self_;               // copy of the self block until delivery
   bool self_pending_ = false;
-  bool self_delivered_ = false;
   int posted_count_ = 0;
   std::size_t peers_remaining_;  // mailbox blocks not yet delivered
   std::vector<detail::Message> stash_;  // prefetched, undelivered blocks

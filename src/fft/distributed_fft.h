@@ -11,19 +11,17 @@
 //   k space slab:     index = (ky_local*n + kx)*n + kz     (kz fastest)
 //
 // Execution: the per-pencil 1-D row transforms and the transpose pack/unpack
-// copy loops dispatch on the dpp pool (set_backend), and the transposes
-// themselves come in two exchange modes:
-//   * Batched   — pack all P pencil blocks into one contiguous buffer, ship
-//     it with a single alltoallv_flat, then unpack. One collective, but
-//     pack → exchange → unpack run strictly sequentially per rank.
-//   * Pipelined — post each destination block through an incremental
-//     AlltoallvFlatSession the moment it finishes packing, and unpack each
-//     source block as it arrives (non-blocking poll between packs, blocking
-//     finish after the last). Receives that landed during packing never show
-//     up in comm.recv_wait_us — the overlap hides most of the exchange.
-// Both modes and both backends produce bit-identical output: every unpack
-// writes a source-addressed disjoint region, every row transform owns its
-// row, and block boundaries never depend on scheduling.
+// copy loops dispatch on the dpp pool (set_backend). Each transpose is
+// pipelined: every destination block goes out through an incremental
+// AlltoallvFlatSession the moment it finishes packing, blocks that land
+// meanwhile are moved out of the mailbox between packs (prefetch), and each
+// source block is unpacked by the blocking finish after the last post.
+// Receives that landed during packing never show up in comm.recv_wait_us —
+// the overlap hides most of the exchange.
+// Both backends produce output bit-identical to the local fft_3d: every
+// unpack writes a source-addressed disjoint region, every row transform owns
+// its row and runs the same passes in the same order, and block boundaries
+// never depend on scheduling.
 #pragma once
 
 #include <complex>
@@ -40,11 +38,6 @@ namespace cosmo::fft {
 
 class DistributedFft {
  public:
-  enum class ExchangeMode {
-    Batched,    ///< one alltoallv_flat per transpose (the pre-pipeline path)
-    Pipelined,  ///< incremental session: pack/exchange/unpack overlap
-  };
-
   DistributedFft(comm::Comm& comm, std::size_t n)
       : comm_(&comm), n_(n), nslab_(n / static_cast<std::size_t>(comm.size())) {
     COSMO_REQUIRE(is_pow2(n), "grid size must be a power of two");
@@ -65,10 +58,6 @@ class DistributedFft {
   /// pack/unpack copy loops. Output is bit-identical across backends.
   void set_backend(dpp::Backend b) { backend_ = b; }
   dpp::Backend backend() const { return backend_; }
-
-  /// Transpose exchange strategy; output is bit-identical across modes.
-  void set_exchange_mode(ExchangeMode m) { mode_ = m; }
-  ExchangeMode exchange_mode() const { return mode_; }
 
   /// Rows per scheduler chunk for the 1-D row transforms (0 = auto).
   void set_row_grain(std::size_t g) { row_grain_ = g; }
@@ -105,7 +94,7 @@ class DistributedFft {
           },
           row_grain_);
     }
-    transpose_z_to_y(slab);
+    transpose(slab, /*z_to_y=*/true);
     {
       COSMO_TRACE_SPAN_CAT("fft.rows", "fft");
       // z transform: contiguous runs of length n in the transposed layout.
@@ -133,7 +122,7 @@ class DistributedFft {
           },
           row_grain_);
     }
-    transpose_y_to_z(slab);
+    transpose(slab, /*z_to_y=*/false);
     {
       COSMO_TRACE_SPAN_CAT("fft.rows", "fft");
       dpp::for_each_chunk(
@@ -168,14 +157,6 @@ class DistributedFft {
  private:
   void check_size(const std::vector<Complex>& slab) const {
     COSMO_REQUIRE(slab.size() == local_size(), "slab buffer has wrong size");
-  }
-
-  /// Elements each rank exchanges with each peer: every peer owns an equal
-  /// slab, so all counts equal nslab²·n. One flat count vector serves as
-  /// both send and recv counts for either exchange path.
-  std::vector<std::size_t> uniform_counts() const {
-    return std::vector<std::size_t>(static_cast<std::size_t>(comm_->size()),
-                                    nslab_ * n_ * nslab_);
   }
 
   // ---- pack/unpack kernels -----------------------------------------------
@@ -250,73 +231,23 @@ class DistributedFft {
 
   // ---- transposes --------------------------------------------------------
 
-  // Redistribute from z-slabs (x fastest) to ky-slabs (kz fastest).
-  // Element (z, y, x) moves to rank owning y, landing at (y_local, x, z).
-  void transpose_z_to_y(std::vector<Complex>& slab) {
-    if (mode_ == ExchangeMode::Batched)
-      transpose_batched(slab, /*z_to_y=*/true);
-    else
-      transpose_pipelined(slab, /*z_to_y=*/true);
-  }
-
-  // Exact inverse of transpose_z_to_y (same exchange machinery).
-  void transpose_y_to_z(std::vector<Complex>& slab) {
-    if (mode_ == ExchangeMode::Batched)
-      transpose_batched(slab, /*z_to_y=*/false);
-    else
-      transpose_pipelined(slab, /*z_to_y=*/false);
-  }
-
-  /// Batched exchange: all P pencil blocks packed into ONE contiguous
-  /// destination-major buffer (displacement of rank d = d·nslab²·n) and
-  /// shipped in a single flat all-to-all — no per-destination vector
-  /// allocations and no per-source payload-to-vector copy on receive.
-  void transpose_batched(std::vector<Complex>& slab, bool z_to_y) {
-    const int P = comm_->size();
-    const std::size_t block = nslab_ * n_ * nslab_;
-    std::vector<Complex> packed(local_size());
-    {
-      COSMO_TRACE_SPAN_CAT("fft.pack", "fft");
-      for (int d = 0; d < P; ++d) {
-        Complex* buf = packed.data() + static_cast<std::size_t>(d) * block;
-        if (z_to_y)
-          pack_z_to_y(slab, d, buf);
-        else
-          pack_y_to_z(slab, d, buf);
-      }
-    }
-    const auto counts = uniform_counts();
-    std::vector<Complex> recv;
-    {
-      COSMO_TRACE_SPAN_CAT("fft.exchange", "fft");
-      recv = comm_->alltoallv_flat<Complex>(packed, counts, counts);
-    }
-    {
-      COSMO_TRACE_SPAN_CAT("fft.unpack", "fft");
-      for (int s = 0; s < P; ++s) {
-        const Complex* buf = recv.data() + static_cast<std::size_t>(s) * block;
-        if (z_to_y)
-          unpack_z_to_y(buf, s, slab.data());
-        else
-          unpack_y_to_z(buf, s, slab.data());
-      }
-    }
-  }
-
-  /// Pipelined exchange: one block-sized pack scratch, reused per
-  /// destination (post_block copies into the message payload immediately);
-  /// arrived source blocks are drained out of the mailbox between packs
-  /// (prefetch: payload moves only, so this rank's remaining posts are
-  /// never delayed behind unpack compute) and unpacked in arrival order by
-  /// finish, where the unpack of early blocks overlaps the wait for
-  /// stragglers. Unpacks target `out` rather than `slab` because later
-  /// packs still read `slab`. Every unpack writes a source-addressed
-  /// disjoint region of `out`, so arrival order cannot change the result.
-  void transpose_pipelined(std::vector<Complex>& slab, bool z_to_y) {
+  /// Redistributes z-slabs (x fastest) to ky-slabs (kz fastest) when
+  /// `z_to_y` — element (z, y, x) moves to the rank owning y, landing at
+  /// (y_local, x, z) — and back otherwise. Every peer owns an equal slab, so
+  /// each rank exchanges nslab²·n elements with each peer. One block-sized
+  /// pack scratch is reused per destination (post_block copies into the
+  /// message payload immediately); arrived source blocks are drained out of
+  /// the mailbox between packs (prefetch: payload moves only, so this rank's
+  /// remaining posts are never delayed behind unpack compute) and unpacked
+  /// in arrival order by finish. Unpacks target `out` rather than `slab`
+  /// because later packs still read `slab`. Every unpack writes a
+  /// source-addressed disjoint region of `out`, so arrival order cannot
+  /// change the result.
+  void transpose(std::vector<Complex>& slab, bool z_to_y) {
     const int P = comm_->size();
     const int rank = comm_->rank();
     const std::size_t block = nslab_ * n_ * nslab_;
-    const auto counts = uniform_counts();
+    const std::vector<std::size_t> counts(static_cast<std::size_t>(P), block);
     std::vector<Complex> out(local_size());
     std::vector<Complex> scratch(block);
     comm::AlltoallvFlatSession<Complex> session(*comm_, counts);
@@ -329,8 +260,7 @@ class DistributedFft {
         unpack_y_to_z(buf.data(), s, out.data());
     };
     // Stagger destinations (self last): every peer starts receiving its
-    // block up to P−1 pack-times earlier than the batched path would send
-    // it, and blocks that land meanwhile are unpacked before the next pack.
+    // block up to P−1 pack-times before this rank's last pack finishes.
     for (int step = 1; step <= P; ++step) {
       const int d = (rank + step) % P;
       {
@@ -354,7 +284,6 @@ class DistributedFft {
   std::size_t n_;
   std::size_t nslab_;
   dpp::Backend backend_ = dpp::Backend::Serial;
-  ExchangeMode mode_ = ExchangeMode::Pipelined;
   std::size_t row_grain_ = 0;
   std::size_t copy_grain_ = 0;
 };

@@ -104,16 +104,6 @@ class PmSolver {
   }
   dpp::Backend backend() const { return backend_; }
 
-  /// Transpose exchange strategy for the solver's distributed FFT
-  /// (pipelined overlaps pack with the all-to-all; batched is the
-  /// reference path). The potential field is bit-identical either way.
-  void set_fft_exchange_mode(fft::DistributedFft::ExchangeMode m) {
-    fft_.set_exchange_mode(m);
-  }
-  fft::DistributedFft::ExchangeMode fft_exchange_mode() const {
-    return fft_.exchange_mode();
-  }
-
   /// Deposit chunk size in particles (0 = auto). The δ field is
   /// backend-invariant for any fixed grain; different grains change the
   /// private-buffer block structure and hence the summation order.

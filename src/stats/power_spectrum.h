@@ -32,11 +32,6 @@ struct PowerSpectrumConfig {
   /// measured spectrum is bit-identical either way, so an in-situ
   /// measurement can share the pool with co-scheduled analysis ranks.
   dpp::Backend backend = dpp::Backend::Serial;
-  /// Transpose exchange strategy for the measurement FFT. The binned
-  /// spectrum is bit-identical across modes (the transposes are pure data
-  /// movement), so in-situ callers default to the overlapping path.
-  fft::DistributedFft::ExchangeMode fft_exchange =
-      fft::DistributedFft::ExchangeMode::Pipelined;
 };
 
 struct PowerSpectrum {
@@ -57,7 +52,6 @@ inline PowerSpectrum measure_power_spectrum(comm::Comm& comm,
   const std::size_t ng = cfg.grid;
   fft::DistributedFft dfft(comm, ng);
   dfft.set_backend(cfg.backend);
-  dfft.set_exchange_mode(cfg.fft_exchange);
   const std::size_t nzl = dfft.slab_thickness();
 
   // CIC overdensity on the slab (reuse the PM deposit machinery — the

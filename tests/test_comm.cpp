@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -188,59 +189,6 @@ TEST_P(CommRanks, AlltoallvRoutesPersonalizedBuffers) {
   });
 }
 
-TEST_P(CommRanks, AlltoallvFlatMatchesNestedAlltoallv) {
-  const int P = GetParam();
-  run_spmd(P, [&](Comm& c) {
-    // Same traffic pattern as AlltoallvRoutesPersonalizedBuffers, but
-    // through the single-contiguous-buffer path with precomputed counts:
-    // rank r sends (d+1) copies of 100*r + d to destination d.
-    std::vector<std::size_t> send_counts(static_cast<std::size_t>(P));
-    std::vector<std::size_t> recv_counts(
-        static_cast<std::size_t>(P), static_cast<std::size_t>(c.rank() + 1));
-    std::vector<int> send;
-    for (int d = 0; d < P; ++d) {
-      send_counts[static_cast<std::size_t>(d)] = static_cast<std::size_t>(d + 1);
-      send.insert(send.end(), static_cast<std::size_t>(d + 1),
-                  100 * c.rank() + d);
-    }
-    const auto recv = c.alltoallv_flat<int>(send, send_counts, recv_counts);
-    ASSERT_EQ(recv.size(),
-              static_cast<std::size_t>(P) * static_cast<std::size_t>(c.rank() + 1));
-    std::size_t off = 0;
-    for (int s = 0; s < P; ++s)
-      for (int k = 0; k <= c.rank(); ++k)
-        EXPECT_EQ(recv[off++], 100 * s + c.rank()) << "from rank " << s;
-  });
-}
-
-TEST_P(CommRanks, AlltoallvFlatHandlesZeroCounts) {
-  const int P = GetParam();
-  run_spmd(P, [&](Comm& c) {
-    // Only even ranks send, and only to odd ranks (self blocks are zero for
-    // everyone): exercises empty blocks in both directions.
-    std::vector<std::size_t> send_counts(static_cast<std::size_t>(P), 0);
-    std::vector<std::size_t> recv_counts(static_cast<std::size_t>(P), 0);
-    std::vector<double> send;
-    for (int d = 0; d < P; ++d) {
-      if (c.rank() % 2 == 0 && d % 2 == 1) {
-        send_counts[static_cast<std::size_t>(d)] = 2;
-        send.push_back(c.rank() + 0.5);
-        send.push_back(d + 0.25);
-      }
-      if (c.rank() % 2 == 1 && d % 2 == 0)
-        recv_counts[static_cast<std::size_t>(d)] = 2;
-    }
-    const auto recv = c.alltoallv_flat<double>(send, send_counts, recv_counts);
-    std::size_t off = 0;
-    for (int s = 0; s < P; ++s) {
-      if (recv_counts[static_cast<std::size_t>(s)] == 0) continue;
-      EXPECT_DOUBLE_EQ(recv[off++], s + 0.5);
-      EXPECT_DOUBLE_EQ(recv[off++], c.rank() + 0.25);
-    }
-    EXPECT_EQ(off, recv.size());
-  });
-}
-
 TEST_P(CommRanks, ScanValueComputesPrefixSums) {
   const int P = GetParam();
   run_spmd(P, [&](Comm& c) {
@@ -270,44 +218,63 @@ TEST(Comm, RankExceptionPropagatesToCaller) {
                Error);
 }
 
+// Rank r sends count(r, d) copies of 100*r + d to each destination d, once
+// through the batched Comm::alltoallv (every send buffer up front) and once
+// through a session, posting block by block from one reused buffer with a
+// prefetch after each post (the FFT transposes' pattern). Every block the
+// session delivers must equal the batched result for its source.
+void expect_session_matches_batched(
+    Comm& c, const std::function<std::size_t(int, int)>& count) {
+  const int P = c.size();
+  std::vector<std::vector<int>> send(static_cast<std::size_t>(P));
+  for (int d = 0; d < P; ++d)
+    send[static_cast<std::size_t>(d)].assign(count(c.rank(), d),
+                                             100 * c.rank() + d);
+  const auto batched = c.alltoallv(send);
+  std::vector<std::size_t> recv_counts(static_cast<std::size_t>(P));
+  for (int s = 0; s < P; ++s) {
+    const auto& want = batched[static_cast<std::size_t>(s)];
+    ASSERT_EQ(want.size(), count(s, c.rank())) << "from rank " << s;
+    for (int v : want) ASSERT_EQ(v, 100 * s + c.rank()) << "from rank " << s;
+    recv_counts[static_cast<std::size_t>(s)] = want.size();
+  }
+
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(P), 0);
+  comm::AlltoallvFlatSession<int> session(c, recv_counts);
+  std::vector<int> scratch;
+  for (int d = 0; d < P; ++d) {
+    scratch = send[static_cast<std::size_t>(d)];
+    session.post_block(d, std::span<const int>(scratch));
+    session.prefetch();
+  }
+  session.finish([&](int src, std::span<const int> block) {
+    auto& slot = seen[static_cast<std::size_t>(src)];
+    ASSERT_FALSE(slot) << "block from rank " << src << " twice";
+    slot = 1;
+    const auto& want = batched[static_cast<std::size_t>(src)];
+    ASSERT_EQ(block.size(), want.size()) << "from rank " << src;
+    for (std::size_t i = 0; i < block.size(); ++i)
+      EXPECT_EQ(block[i], want[i]) << "from rank " << src << " index " << i;
+  });
+  for (int s = 0; s < P; ++s)
+    EXPECT_TRUE(seen[static_cast<std::size_t>(s)]) << "missing rank " << s;
+}
+
 TEST_P(CommRanks, AlltoallvFlatSessionMatchesBatched) {
-  const int P = GetParam();
-  run_spmd(P, [&](Comm& c) {
-    // Same traffic as AlltoallvFlatMatchesNestedAlltoallv, but posted block
-    // by block through a session, with polls interleaved between posts.
-    std::vector<std::size_t> send_counts(static_cast<std::size_t>(P));
-    std::vector<std::size_t> recv_counts(
-        static_cast<std::size_t>(P), static_cast<std::size_t>(c.rank() + 1));
-    for (int d = 0; d < P; ++d)
-      send_counts[static_cast<std::size_t>(d)] = static_cast<std::size_t>(d + 1);
+  run_spmd(GetParam(), [&](Comm& c) {
+    // Same traffic as AlltoallvRoutesPersonalizedBuffers: d+1 elements to d.
+    expect_session_matches_batched(
+        c, [](int, int d) { return static_cast<std::size_t>(d + 1); });
+  });
+}
 
-    std::vector<std::vector<int>> got(static_cast<std::size_t>(P));
-    std::size_t deliveries = 0;
-    auto on_block = [&](int src, std::span<const int> block) {
-      auto& slot = got[static_cast<std::size_t>(src)];
-      ASSERT_TRUE(slot.empty()) << "block from rank " << src << " twice";
-      slot.assign(block.begin(), block.end());
-      if (slot.empty()) slot.push_back(-1);  // mark zero-count deliveries
-      ++deliveries;
-    };
-
-    comm::AlltoallvFlatSession<int> session(c, recv_counts);
-    std::vector<int> scratch;
-    for (int d = 0; d < P; ++d) {
-      scratch.assign(send_counts[static_cast<std::size_t>(d)],
-                     100 * c.rank() + d);
-      session.post_block(d, std::span<const int>(scratch));
-      session.poll(on_block);
-    }
-    session.finish(on_block);
-
-    EXPECT_EQ(deliveries, static_cast<std::size_t>(P));
-    EXPECT_EQ(session.remaining(), 0u);
-    for (int s = 0; s < P; ++s) {
-      const auto& block = got[static_cast<std::size_t>(s)];
-      ASSERT_EQ(block.size(), static_cast<std::size_t>(c.rank() + 1));
-      for (int v : block) EXPECT_EQ(v, 100 * s + c.rank()) << "from rank " << s;
-    }
+TEST_P(CommRanks, AlltoallvFlatHandlesZeroCounts) {
+  run_spmd(GetParam(), [&](Comm& c) {
+    // Only even ranks send, and only to odd ranks (self blocks are zero for
+    // everyone): empty blocks in both directions.
+    expect_session_matches_batched(c, [](int s, int d) {
+      return std::size_t{s % 2 == 0 && d % 2 == 1 ? 2u : 0u};
+    });
   });
 }
 
@@ -374,6 +341,9 @@ TEST(Comm, SessionRejectsDoublePostAndEarlyFinish) {
       session.post_block(1, std::span<const int>(&v, 1));
       EXPECT_THROW(session.post_block(1, std::span<const int>(&v, 1)), Error);
       EXPECT_THROW(session.finish(sink), Error);  // self block not posted
+      const int two[2] = {v, v};
+      EXPECT_THROW(session.post_block(0, std::span<const int>(two)),
+                   Error);  // self block larger than its recv count
       session.post_block(0, std::span<const int>(&v, 1));
     } else {
       session.post_block(0, std::span<const int>(&v, 1));

@@ -551,152 +551,53 @@ TEST(DppPool, WorkStealingBalancesImbalancedRanks) {
 #endif
 }
 
-// ---- steal-aware grain auto-tuning -----------------------------------------
+// ---- chunking ---------------------------------------------------------------
+//
+// The DppAutotune suite once drove the pool's steal-aware grain feedback. On
+// every measured workload that loop settled at 32 chunks per worker, which is
+// now the constant kChunksPerWorker: a dispatch's chunk count depends only on
+// n, the grain and the pool size.
 
-// Deterministically produces a zero-steal regime on a private pool: every
-// worker (and one helper dispatcher) is pinned inside a spinning dispatch, so
-// auto-grain dispatches issued from the test thread are drained entirely by
-// help-execution — no sibling ever steals a chunk. The feedback must read
-// that as "no balancing slack" and halve the effective grain.
-TEST(DppAutotune, ZeroStealRegimeHalvesAutoGrain) {
-  dpp::ThreadPool pool(2);
-  ASSERT_EQ(pool.grain_shift(), 0);
-
-  std::atomic<bool> release{false};
-  std::atomic<int> pinned{0};
-  const std::size_t spinners = pool.workers() + 1;  // workers + dispatcher
-  std::thread occupier([&] {
-    pool.parallel_for(
-        spinners,
-        [&](std::size_t, std::size_t) {
-          pinned.fetch_add(1, std::memory_order_relaxed);
-          while (!release.load(std::memory_order_relaxed))
-            std::this_thread::yield();
-        },
-        /*grain=*/1);
-  });
-  while (pinned.load(std::memory_order_relaxed) <
-         static_cast<int>(spinners))
-    std::this_thread::yield();
-
-  // Every worker is spinning: each auto-grain dispatch below runs entirely
-  // on this thread (zero steals). 4 chunks/worker × 2 workers = 8 chunks per
-  // dispatch; 80 dispatches ≫ the 512-chunk feedback window.
-  std::vector<std::uint64_t> out(64);
-  for (int iter = 0; iter < 80 && pool.grain_shift() == 0; ++iter)
-    pool.parallel_for(out.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) out[i] = i;
-    });
-  EXPECT_GE(pool.grain_shift(), 1);
-
-  release.store(true, std::memory_order_relaxed);
-  occupier.join();
-}
-
-// The shift doubles the chunk count of subsequent auto-grain dispatches
-// (the slack an imbalanced workload needs), and never perturbs results.
-TEST(DppAutotune, ShiftRefinesChunkingForImbalancedDispatch) {
-  dpp::ThreadPool pool(2);
-  auto chunks_of_dispatch = [&](std::size_t n) {
-    std::atomic<std::uint64_t> chunks{0};
-    std::vector<std::uint64_t> out(n);
-    pool.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-      chunks.fetch_add(1, std::memory_order_relaxed);
-      // Imbalanced cost profile: early indices are ~100× heavier.
-      for (std::size_t i = lo; i < hi; ++i) {
-        std::uint64_t acc = i;
-        const int reps = i < n / 8 ? 100 : 1;
-        for (int r = 0; r < reps; ++r) acc = acc * 2862933555777941757ULL + 1;
-        out[i] = acc;
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t acc = i;
-      const int reps = i < n / 8 ? 100 : 1;
-      for (int r = 0; r < reps; ++r) acc = acc * 2862933555777941757ULL + 1;
-      EXPECT_EQ(out[i], acc) << "index " << i;
-    }
-    return chunks.load();
+// Runs one dispatch of n items on `pool` with an imbalanced cost profile
+// (early indices ~100x heavier), checks every output and returns the number
+// of chunks the dispatch ran.
+std::uint64_t chunks_of_imbalanced_dispatch(dpp::ThreadPool& pool,
+                                            std::size_t n, std::size_t grain) {
+  auto value = [n](std::size_t i) {
+    std::uint64_t acc = i;
+    const int reps = i < n / 8 ? 100 : 1;
+    for (int r = 0; r < reps; ++r) acc = acc * 2862933555777941757ULL + 1;
+    return acc;
   };
-
-  const std::uint64_t base = chunks_of_dispatch(4096);
-  EXPECT_EQ(base, 8u);  // kChunksPerWorker × 2 workers
-
-  // Force the zero-steal regime as above until the feedback reacts.
-  std::atomic<bool> release{false};
-  std::atomic<int> pinned{0};
-  const std::size_t spinners = pool.workers() + 1;
-  std::thread occupier([&] {
-    pool.parallel_for(
-        spinners,
-        [&](std::size_t, std::size_t) {
-          pinned.fetch_add(1, std::memory_order_relaxed);
-          while (!release.load(std::memory_order_relaxed))
-            std::this_thread::yield();
-        },
-        /*grain=*/1);
-  });
-  while (pinned.load(std::memory_order_relaxed) <
-         static_cast<int>(spinners))
-    std::this_thread::yield();
-  std::vector<std::uint64_t> filler(64);
-  for (int iter = 0; iter < 200 && pool.grain_shift() == 0; ++iter)
-    pool.parallel_for(filler.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) filler[i] = i;
-    });
-  release.store(true, std::memory_order_relaxed);
-  occupier.join();
-  ASSERT_GE(pool.grain_shift(), 1);
-
-  // The imbalanced dispatch now gets at least twice the chunks — restored
-  // balancing slack — with identical output (asserted inside the helper).
-  EXPECT_GE(chunks_of_dispatch(4096), 2 * base);
-
-  pool.reset_autotune();
-  EXPECT_EQ(pool.grain_shift(), 0);
-  EXPECT_EQ(chunks_of_dispatch(4096), base);
-}
-
-// Explicit grains are a caller contract — the feedback must never override
-// them (deterministic block structure is what the deposit's bit-exactness
-// rests on).
-TEST(DppAutotune, ExplicitGrainIsNeverOverridden) {
-  dpp::ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  std::atomic<int> pinned{0};
-  const std::size_t spinners = pool.workers() + 1;
-  std::thread occupier([&] {
-    pool.parallel_for(
-        spinners,
-        [&](std::size_t, std::size_t) {
-          pinned.fetch_add(1, std::memory_order_relaxed);
-          while (!release.load(std::memory_order_relaxed))
-            std::this_thread::yield();
-        },
-        /*grain=*/1);
-  });
-  while (pinned.load(std::memory_order_relaxed) <
-         static_cast<int>(spinners))
-    std::this_thread::yield();
-  std::vector<std::uint64_t> filler(64);
-  for (int iter = 0; iter < 200 && pool.grain_shift() == 0; ++iter)
-    pool.parallel_for(filler.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) filler[i] = i;
-    });
-  release.store(true, std::memory_order_relaxed);
-  occupier.join();
-  ASSERT_GE(pool.grain_shift(), 1);
-
   std::atomic<std::uint64_t> chunks{0};
-  std::vector<std::uint64_t> out(1000);
+  std::vector<std::uint64_t> out(n);
   pool.parallel_for(
-      out.size(),
+      n,
       [&](std::size_t lo, std::size_t hi) {
         chunks.fetch_add(1, std::memory_order_relaxed);
-        for (std::size_t i = lo; i < hi; ++i) out[i] = i;
+        for (std::size_t i = lo; i < hi; ++i) out[i] = value(i);
       },
-      /*grain=*/100);
-  EXPECT_EQ(chunks.load(), 10u);  // 1000 / 100, shift ignored
+      grain);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(out[i], value(i)) << "index " << i;
+  return chunks.load();
+}
+
+// A grain-0 imbalanced dispatch runs the refined chunking the feedback used
+// to reach only after up to ~6,300 chunks: 32 chunks per worker from the
+// first dispatch on, and the same on every repeat.
+TEST(DppAutotune, ShiftRefinesChunkingForImbalancedDispatch) {
+  dpp::ThreadPool pool(2);
+  for (int rep = 0; rep < 3; ++rep)
+    EXPECT_EQ(chunks_of_imbalanced_dispatch(pool, 4096, 0), 64u)
+        << "repeat " << rep;  // 32 per worker x 2 workers
+}
+
+// Explicit grains are a caller contract and are used as given (deterministic
+// block structure is what the deposit's bit-exactness rests on).
+TEST(DppAutotune, ExplicitGrainIsNeverOverridden) {
+  dpp::ThreadPool pool(2);
+  EXPECT_EQ(chunks_of_imbalanced_dispatch(pool, 1000, 100), 10u);  // 1000/100
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the FFT stack: 1-D analytic transforms, 3-D round trips,
-// Parseval's theorem, and distributed-vs-local equivalence.
+// Parseval's theorem, and bit-exact distributed-vs-local equivalence.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -152,39 +152,90 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, DistFft, ::testing::Values(1, 2, 4),
                            return "P" + std::to_string(info.param);
                          });
 
-TEST_P(DistFft, MatchesLocalTransform) {
-  const int P = GetParam();
-  const std::size_t n = 8;
-  // Build the same random field locally and distributed; compare spectra.
-  Rng rng(17);
-  fft::Grid3 local(n, n, n);
+// Local reference for DistributedFft::inverse: the same 1-D passes in the
+// same order — z, then y, then x — followed by the same 1/n³ scale, so the
+// distributed inverse must reproduce it bit for bit. (fft_3d runs x, y, z,
+// which rounds differently.)
+void inverse_reference(fft::Grid3& g) {
+  const std::size_t n = g.nx();
+  std::vector<Complex> scratch;
+  for (std::size_t y = 0; y < n; ++y)
+    for (std::size_t x = 0; x < n; ++x)
+      fft::fft_1d_strided(&g.at(x, y, 0), n, n * n, /*inverse=*/true, scratch);
+  for (std::size_t z = 0; z < n; ++z)
+    for (std::size_t x = 0; x < n; ++x)
+      fft::fft_1d_strided(&g.at(x, 0, z), n, n, /*inverse=*/true, scratch);
   for (std::size_t z = 0; z < n; ++z)
     for (std::size_t y = 0; y < n; ++y)
-      for (std::size_t x = 0; x < n; ++x)
-        local.at(x, y, z) = Complex(rng.normal(), rng.normal());
-  fft::Grid3 reference = local;
-  fft::fft_3d(reference, false);
+      fft::fft_1d(std::span<Complex>(&g.at(0, y, z), n), /*inverse=*/true);
+  const double scale = 1.0 / (static_cast<double>(n) * static_cast<double>(n) *
+                              static_cast<double>(n));
+  for (auto& v : g.flat()) v *= scale;
+}
+
+struct DistFftRun {
+  dpp::Backend backend = dpp::Backend::Serial;
+  std::size_t grain = 0;  // row and copy grain
+  bool stagger = false;   // ranks enter the transposes far apart
+};
+
+// Transforms one random n³ field forward and back on P ranks and requires
+// both results to equal the local references bit for bit: forward against
+// fft::fft_3d, inverse against inverse_reference of that spectrum.
+void expect_matches_local(int P, std::size_t n, const DistFftRun& run) {
+  Rng rng(17);
+  fft::Grid3 field(n, n, n);
+  for (auto& v : field.flat()) v = Complex(rng.normal(), rng.normal());
+  fft::Grid3 kspace = field;
+  fft::fft_3d(kspace, /*inverse=*/false);
+  fft::Grid3 back = kspace;
+  inverse_reference(back);
 
   comm::run_spmd(P, [&](comm::Comm& c) {
+    if (run.stagger)  // adversarial: block arrival order reverses rank order
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(3 * (P - 1 - c.rank())));
     fft::DistributedFft dfft(c, n);
-    const std::size_t nzl = dfft.slab_thickness();
-    const std::size_t z0 = dfft.slab_start();
+    dfft.set_backend(run.backend);
+    dfft.set_row_grain(run.grain);
+    dfft.set_copy_grain(run.grain);
+    const std::size_t nsl = dfft.slab_thickness();
+    const std::size_t s0 = dfft.slab_start();
+    // Real space: z-slab, x fastest.
     std::vector<Complex> slab(dfft.local_size());
-    for (std::size_t zl = 0; zl < nzl; ++zl)
+    for (std::size_t zl = 0; zl < nsl; ++zl)
       for (std::size_t y = 0; y < n; ++y)
         for (std::size_t x = 0; x < n; ++x)
-          slab[(zl * n + y) * n + x] = local.at(x, y, z0 + zl);
+          slab[(zl * n + y) * n + x] = field.at(x, y, s0 + zl);
     dfft.forward(slab);
-    // Transposed layout: rank owns ky rows [y0, y0+nzl), kz contiguous.
-    for (std::size_t kyl = 0; kyl < nzl; ++kyl)
+    // k space: ky-slab, kz fastest. Exact double equality throughout.
+    for (std::size_t kyl = 0; kyl < nsl; ++kyl)
       for (std::size_t kx = 0; kx < n; ++kx)
-        for (std::size_t kz = 0; kz < n; ++kz) {
-          const Complex got = slab[(kyl * n + kx) * n + kz];
-          const Complex want = reference.at(kx, z0 + kyl, kz);
-          ASSERT_NEAR(got.real(), want.real(), 1e-8);
-          ASSERT_NEAR(got.imag(), want.imag(), 1e-8);
-        }
+        for (std::size_t kz = 0; kz < n; ++kz)
+          ASSERT_EQ(slab[(kyl * n + kx) * n + kz], kspace.at(kx, s0 + kyl, kz))
+              << "forward rank " << c.rank() << " k " << kx << ","
+              << s0 + kyl << "," << kz;
+    dfft.inverse(slab);  // its input now equals the local spectrum exactly
+    for (std::size_t zl = 0; zl < nsl; ++zl)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x)
+          ASSERT_EQ(slab[(zl * n + y) * n + x], back.at(x, y, s0 + zl))
+              << "inverse rank " << c.rank() << " at " << x << "," << y
+              << "," << s0 + zl;
   });
+}
+
+TEST_P(DistFft, MatchesLocalTransform) {
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool})
+    expect_matches_local(GetParam(), 8, {backend});
+}
+
+// The name dates from when this test's reference was the batched exchange,
+// since deleted; the pipelined transposes are now pinned to the local
+// transform, as in MatchesLocalTransform, at the n = 16 this test ran.
+TEST_P(DistFft, PipelinedMatchesBatchedBitExact) {
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool})
+    expect_matches_local(GetParam(), 16, {backend});
 }
 
 TEST_P(DistFft, RoundTripRecoversSlab) {
@@ -205,118 +256,30 @@ TEST_P(DistFft, RoundTripRecoversSlab) {
   });
 }
 
-// Runs forward+inverse with the given exchange mode / backend / grains and
-// returns the k-space slab and round-tripped slab for rank `rank`, starting
-// from a deterministic per-rank field. Used to cross-check every variant
-// against the batched Serial reference bit for bit.
-struct FftVariantResult {
-  std::vector<Complex> kspace;
-  std::vector<Complex> roundtrip;
-};
-
-std::vector<FftVariantResult> run_fft_variant(
-    int P, std::size_t n, fft::DistributedFft::ExchangeMode mode,
-    dpp::Backend backend, std::size_t row_grain = 0,
-    std::size_t copy_grain = 0, bool stagger = false) {
-  std::vector<FftVariantResult> results(static_cast<std::size_t>(P));
-  comm::run_spmd(P, [&](comm::Comm& c) {
-    if (stagger)  // adversarial: ranks enter the transpose far apart
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(3 * (P - 1 - c.rank())));
-    fft::DistributedFft dfft(c, n);
-    dfft.set_exchange_mode(mode);
-    dfft.set_backend(backend);
-    dfft.set_row_grain(row_grain);
-    dfft.set_copy_grain(copy_grain);
-    Rng rng(7000 + static_cast<std::uint64_t>(c.rank()));
-    std::vector<Complex> slab(dfft.local_size());
-    for (auto& v : slab) v = Complex(rng.normal(), rng.normal());
-    dfft.forward(slab);
-    auto& res = results[static_cast<std::size_t>(c.rank())];
-    res.kspace = slab;
-    dfft.inverse(slab);
-    res.roundtrip = slab;
-  });
-  return results;
-}
-
-void expect_bit_identical(const std::vector<FftVariantResult>& a,
-                          const std::vector<FftVariantResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a[r].kspace.size(), b[r].kspace.size());
-    for (std::size_t i = 0; i < a[r].kspace.size(); ++i) {
-      // Exact double equality: the pipelined exchange and the pool backends
-      // must not perturb a single bit of the spectrum.
-      ASSERT_EQ(a[r].kspace[i].real(), b[r].kspace[i].real())
-          << "kspace rank " << r << " index " << i;
-      ASSERT_EQ(a[r].kspace[i].imag(), b[r].kspace[i].imag())
-          << "kspace rank " << r << " index " << i;
-    }
-    ASSERT_EQ(a[r].roundtrip.size(), b[r].roundtrip.size());
-    for (std::size_t i = 0; i < a[r].roundtrip.size(); ++i) {
-      ASSERT_EQ(a[r].roundtrip[i].real(), b[r].roundtrip[i].real())
-          << "roundtrip rank " << r << " index " << i;
-      ASSERT_EQ(a[r].roundtrip[i].imag(), b[r].roundtrip[i].imag())
-          << "roundtrip rank " << r << " index " << i;
-    }
-  }
-}
-
-using ExchangeMode = fft::DistributedFft::ExchangeMode;
-
-TEST_P(DistFft, PipelinedMatchesBatchedBitExact) {
-  const int P = GetParam();
-  const std::size_t n = 16;
-  const auto ref = run_fft_variant(P, n, ExchangeMode::Batched,
-                                   dpp::Backend::Serial);
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::Serial));
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Batched,
-                           dpp::Backend::ThreadPool));
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::ThreadPool));
-}
-
 TEST_P(DistFft, SmallGrainsStayBitExact) {
-  const int P = GetParam();
-  const std::size_t n = 8;
   // Grain 1 maximizes chunk count (every row / pencil its own scheduler
   // item), stressing out-of-order chunk execution in pack/unpack/rows.
-  const auto ref = run_fft_variant(P, n, ExchangeMode::Batched,
-                                   dpp::Backend::Serial);
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::ThreadPool, /*row_grain=*/1,
-                           /*copy_grain=*/1));
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool})
+    expect_matches_local(GetParam(), 8, {backend, /*grain=*/1});
 }
 
 TEST_P(DistFft, PipelinedOutOfOrderArrivalBitExact) {
   const int P = GetParam();
   if (P < 2) GTEST_SKIP();
-  const std::size_t n = 8;
   // Rank staggering reverses block arrival order relative to rank order;
   // the unpacks are source-addressed, so the result must not move.
-  const auto ref = run_fft_variant(P, n, ExchangeMode::Batched,
-                                   dpp::Backend::Serial);
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::ThreadPool, 0, 0, /*stagger=*/true));
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool})
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{1}})
+      expect_matches_local(P, 8, {backend, grain, /*stagger=*/true});
 }
 
 TEST(DistFftConfig, DefaultsAndSetters) {
   comm::run_spmd(1, [&](comm::Comm& c) {
     fft::DistributedFft dfft(c, 8);
-    EXPECT_EQ(dfft.exchange_mode(), ExchangeMode::Pipelined);
     EXPECT_EQ(dfft.backend(), dpp::Backend::Serial);
-    dfft.set_exchange_mode(ExchangeMode::Batched);
     dfft.set_backend(dpp::Backend::ThreadPool);
     dfft.set_row_grain(4);
     dfft.set_copy_grain(2);
-    EXPECT_EQ(dfft.exchange_mode(), ExchangeMode::Batched);
     EXPECT_EQ(dfft.backend(), dpp::Backend::ThreadPool);
     EXPECT_EQ(dfft.row_grain(), 4u);
     EXPECT_EQ(dfft.copy_grain(), 2u);

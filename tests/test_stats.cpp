@@ -132,35 +132,6 @@ TEST(PowerSpectrum, BackendInvariantBitExact) {
   });
 }
 
-TEST(PowerSpectrum, ExchangeModeInvariantBitExact) {
-  // The measurement FFT defaults to the pipelined transpose; the spectrum
-  // must not move by a bit relative to the batched reference exchange.
-  sim::Cosmology cosmo;
-  sim::IcConfig ic;
-  ic.ng = 16;
-  ic.box = 64.0;
-  ic.z_init = 10.0;
-  ic.seed = 78;
-  const std::uint64_t ntot = 16ull * 16ull * 16ull;
-  comm::run_spmd(4, [&](comm::Comm& c) {
-    auto p = sim::zeldovich_ics(c, cosmo, ic);
-    PowerSpectrumConfig cfg;
-    cfg.grid = 16;
-    cfg.bins = 5;
-    cfg.backend = cosmo::dpp::Backend::ThreadPool;
-    cfg.fft_exchange = fft::DistributedFft::ExchangeMode::Batched;
-    auto batched = measure_power_spectrum(c, p, ic.box, ntot, cfg);
-    cfg.fft_exchange = fft::DistributedFft::ExchangeMode::Pipelined;
-    auto piped = measure_power_spectrum(c, p, ic.box, ntot, cfg);
-    ASSERT_EQ(batched.power.size(), piped.power.size());
-    EXPECT_EQ(batched.modes, piped.modes);
-    for (std::size_t b = 0; b < batched.power.size(); ++b) {
-      ASSERT_EQ(batched.k[b], piped.k[b]) << "bin " << b;
-      ASSERT_EQ(batched.power[b], piped.power[b]) << "bin " << b;
-    }
-  });
-}
-
 TEST(MassFunction, SplitsAtThreshold) {
   HaloCatalog cat;
   for (std::uint64_t n : {50u, 100u, 400u, 100000u, 400000u, 2000000u}) {
