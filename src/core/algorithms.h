@@ -109,16 +109,14 @@ class HaloFinderAlgorithm : public CadencedAlgorithm {
 /// below the threshold are centered here; larger halos' member lists are
 /// deferred to the off-line path (their particles become Level 2 data).
 /// Threshold 0 disables the split (everything is computed in-situ).
+/// `threshold` is the one key: halos are centred by halo::mbp_center with
+/// the default softening, exactly as analyze_level2 centres Level 2 halos.
 class CenterFinderAlgorithm : public CadencedAlgorithm {
  public:
   std::string Name() const override { return "centerfinder"; }
 
   void SetToolParameters(const ParameterMap& p) override {
     threshold_ = static_cast<std::uint64_t>(p.get_int("threshold", 0));
-    softening_ = p.get_double("softening", 1e-6);
-    method_ = p.get_string("method", "brute");
-    COSMO_REQUIRE(method_ == "brute" || method_ == "astar",
-                  "centerfinder method must be 'brute' or 'astar'");
   }
 
   void Execute(const sim::StepContext&, AnalysisContext& ctx) override {
@@ -126,7 +124,6 @@ class CenterFinderAlgorithm : public CadencedAlgorithm {
                   "centerfinder requires the halofinder to run first");
     COSMO_TRACE_SPAN_CAT("halo.centers", "halo");
     halo::CenterConfig ccfg;
-    ccfg.softening = softening_;
     ccfg.box = ctx.box;
     const auto& particles = ctx.fof->particles;
     // Split pass: defer the monsters to the off-line path, keep the rest.
@@ -151,10 +148,7 @@ class CenterFinderAlgorithm : public CadencedAlgorithm {
         [&](std::size_t k) {
           const auto& h = ctx.fof->halos[work[k]];
           results[k] =
-              method_ == "astar"
-                  ? halo::mbp_center_astar(particles, h.members, ccfg)
-                  : halo::mbp_center_brute(ctx.backend, particles,
-                                           h.members, ccfg);
+              halo::mbp_center(ctx.backend, particles, h.members, ccfg);
         },
         /*grain=*/1);
     for (std::size_t k = 0; k < work.size(); ++k) {
@@ -175,8 +169,6 @@ class CenterFinderAlgorithm : public CadencedAlgorithm {
 
  private:
   std::uint64_t threshold_ = 0;
-  double softening_ = 1e-6;
-  std::string method_ = "brute";
 };
 
 /// SO mass around each in-situ-centered halo. Very fast, but "it relies on

@@ -299,7 +299,7 @@ inline stats::HaloCatalog analyze_level2(
           const sim::ParticleSet& h = halos[my_halos[k]];
           std::vector<std::uint32_t> members(h.size());
           std::iota(members.begin(), members.end(), 0u);
-          const auto r = halo::mbp_center_brute(backend, h, members, ccfg);
+          const auto r = halo::mbp_center(backend, h, members, ccfg);
           stats::HaloRecord rec;
           // Halo id = minimum particle tag (the FOF id definition),
           // recoverable from the Level 2 block itself.

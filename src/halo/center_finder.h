@@ -2,37 +2,47 @@
 //
 // The center is the particle minimizing the potential
 //     φ(i) = Σ_{j≠i} −m_j / (d_ij + ε),
-// with a small softening ε guarding against coincident particles. Two
-// implementations, mirroring the paper:
+// with a small softening ε guarding against coincident particles.
+// mbp_center, the one entry point, picks one of two finders from the member
+// count alone; both return the same member, particle and φ bits, with ties
+// broken to the lowest member index:
 //
-//  * mbp_center_brute   — the PISTON version: O(n²) data-parallel potential
-//                         evaluation + argmin, one source targeting both
-//                         dpp backends (the "GPU" path on ThreadPool). On a
-//                         CPU with AVX2 the potentials run four targets at a
-//                         time through one tile kernel whose lanes repeat
-//                         exact_potential's operations in its order, so φ is
-//                         bit-identical to the scalar sum on every host.
-//  * mbp_center_astar   — the legacy serial version: A*-style search with
-//                         an optimistic tree-based lower bound per particle,
-//                         evaluating exact potentials best-first until the
-//                         best exact value beats every remaining bound
-//                         (reported ~8x faster than serial brute force).
+//  * mbp_center_brute — the PISTON version: O(n²) data-parallel potential
+//                       evaluation + argmin, one source targeting both dpp
+//                       backends (the "GPU" path on ThreadPool). On a CPU
+//                       with AVX2 the potentials run four targets at a time
+//                       through one tile kernel whose lanes repeat
+//                       exact_potential's operations in its order, so φ is
+//                       bit-identical to the scalar sum on every host.
+//  * mbp_center_astar — the paper's A* search (reported ~8x faster than
+//                       serial brute force), certified and pooled. One pool
+//                       dispatch bounds every member's φ from below: per
+//                       k-d tree leaf of targets, one walk accepts source
+//                       nodes far from the whole leaf into a far-field term
+//                       the leaf's targets share, and sums the near-field
+//                       leaves exactly. Two more dispatches run the tile
+//                       kernel on lists of targets: a seed batch of the
+//                       lowest bounds, then every member whose bound, less
+//                       δ, does not exceed the seeds' best φ. δ bounds the
+//                       rounding of both sums, so a skipped member's φ is
+//                       strictly above brute force's minimum.
 //
-// Both agree exactly on the chosen particle (ties break to lowest tag).
 // All distances use the periodic minimum image; halos are compact, so this
 // is exact for any halo smaller than half the box.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "dpp/primitives.h"
 #include "halo/kdtree.h"
+#include "obs/obs.h"
 #include "sim/particles.h"
 #include "util/error.h"
 
@@ -54,6 +64,15 @@ struct CenterResult {
   double potential = 0.0;          ///< φ at the center
   std::uint64_t exact_evaluations = 0;  ///< # of O(n) potential sums computed
 };
+
+/// Member count from which mbp_center runs the A* instead of brute force.
+/// ablation_center_finders measures the pooled A* against pooled brute
+/// force on the generator's NFW profile: level at about 3,000 members,
+/// 1.1–1.2× ahead at 4,000 and 1.8–1.9× at 8,000 (EXPERIMENTS.md,
+/// "Ablations"). The cut-off sits where the A* nearly halves the time;
+/// below it a halo keeps brute force's two pool dispatches, where the A*
+/// would make four to ten for a smaller saving.
+inline constexpr std::size_t kAStarMinMembers = 8192;
 
 namespace detail {
 
@@ -95,15 +114,17 @@ __attribute__((target("avx2"))) inline __m256d fold_avx2(__m256d d,
                           _mm256_cmp_pd(d, neg_half, _CMP_LT_OQ));
 }
 
-/// The AVX2 tile kernel: phi[k] = exact_potential(p, members, k, cfg) for
-/// k in [lo, hi), bit for bit, with lo a multiple of 4. Each whole tile of
-/// four targets loads its targets once and streams every source from the
-/// particle set through `members`, so no per-halo copy is made; lane l
-/// sums m = 0..n−1 in member order and its self pair subtracts +0.0, an
-/// exact no-op. A short last tile falls back to exact_potential.
+/// The AVX2 tile kernel: phi[t] = exact_potential(p, members, targets[t],
+/// cfg) for every t, bit for bit, with targets any list of member indices.
+/// Each whole tile of four targets loads its targets once and streams every
+/// source from the particle set through `members`, so no per-halo copy is
+/// made. Lane l sums m = 0..n−1 in member order; at each of the tile's
+/// targets, in member order, the lanes whose self pair it is subtract a
+/// masked +0.0, an exact no-op. A short last tile falls back to
+/// exact_potential.
 __attribute__((target("avx2"))) inline void potentials_avx2(
     const sim::ParticleSet& p, std::span<const std::uint32_t> members,
-    std::size_t lo, std::size_t hi, const CenterConfig& cfg,
+    std::span<const std::uint32_t> targets, const CenterConfig& cfg,
     std::span<double> phi) {
   const std::size_t n = members.size();
   const float* px = p.x.data();
@@ -116,17 +137,20 @@ __attribute__((target("avx2"))) inline void potentials_avx2(
   const __m256d neg_half = _mm256_set1_pd(-0.5 * box_d);
   const __m256d eps = _mm256_set1_pd(cfg.softening);
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d self_mask[4] = {
-      _mm256_castsi256_pd(_mm256_setr_epi64x(0, -1, -1, -1)),
-      _mm256_castsi256_pd(_mm256_setr_epi64x(-1, 0, -1, -1)),
-      _mm256_castsi256_pd(_mm256_setr_epi64x(-1, -1, 0, -1)),
-      _mm256_castsi256_pd(_mm256_setr_epi64x(-1, -1, -1, 0))};
-  std::size_t k0 = lo;
-  for (; k0 + 4 <= hi; k0 += 4) {
-    const std::uint32_t* t = members.data() + k0;
-    const __m256d xi = _mm256_setr_pd(px[t[0]], px[t[1]], px[t[2]], px[t[3]]);
-    const __m256d yi = _mm256_setr_pd(py[t[0]], py[t[1]], py[t[2]], py[t[3]]);
-    const __m256d zi = _mm256_setr_pd(pz[t[0]], pz[t[1]], pz[t[2]], pz[t[3]]);
+  std::size_t t0 = 0;
+  for (; t0 + 4 <= targets.size(); t0 += 4) {
+    const std::uint32_t* k = targets.data() + t0;
+    const std::uint32_t i[4] = {members[k[0]], members[k[1]], members[k[2]],
+                                members[k[3]]};
+    const __m256d xi = _mm256_setr_pd(px[i[0]], px[i[1]], px[i[2]], px[i[3]]);
+    const __m256d yi = _mm256_setr_pd(py[i[0]], py[i[1]], py[i[2]], py[i[3]]);
+    const __m256d zi = _mm256_setr_pd(pz[i[0]], pz[i[1]], pz[i[2]], pz[i[3]]);
+    const __m256i self = _mm256_setr_epi64x(k[0], k[1], k[2], k[3]);
+    // The tile's targets in member order, then a sentinel no m reaches.
+    std::array<std::uint64_t, 5> stops = {
+        k[0], k[1], k[2], k[3], std::numeric_limits<std::uint64_t>::max()};
+    std::sort(stops.begin(), stops.begin() + 4);
+    std::size_t next = 0;
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t m = 0; m < n; ++m) {
       const std::uint32_t j = members[m];
@@ -141,13 +165,19 @@ __attribute__((target("avx2"))) inline void potentials_avx2(
           _mm256_mul_pd(dz, dz));
       __m256d term = _mm256_div_pd(
           one, _mm256_add_pd(_mm256_sqrt_pd(d2), eps));
-      if (m - k0 < 4)  // m is one of this tile's own targets
-        term = _mm256_and_pd(term, self_mask[m - k0]);
+      if (m == stops[next]) {  // m is one of this tile's own targets
+        term = _mm256_andnot_pd(
+            _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                self, _mm256_set1_epi64x(static_cast<long long>(m)))),
+            term);
+        while (stops[next] == m) ++next;  // a target may be listed twice
+      }
       acc = _mm256_sub_pd(acc, term);
     }
-    _mm256_storeu_pd(phi.data() + k0, acc);
+    _mm256_storeu_pd(phi.data() + t0, acc);
   }
-  for (; k0 < hi; ++k0) phi[k0] = exact_potential(p, members, k0, cfg);
+  for (; t0 < targets.size(); ++t0)
+    phi[t0] = exact_potential(p, members, targets[t0], cfg);
 }
 #endif
 
@@ -164,25 +194,29 @@ inline bool has_avx2() {
 #endif
 }
 
-/// φ of every member, elementwise: on the AVX2 host in tiles of four
-/// targets, elsewhere one exact_potential per target. A chunk holds four
-/// tiles (16 targets) so small halos amortize their dispatch, and one tile
-/// from 8192 members up so the pool spreads a monster over every worker
-/// while small-halo tasks fill the gaps. φ is elementwise, so the chunking
-/// never changes a value.
+/// φ of each listed member (phi[t] for targets[t]), elementwise: on the
+/// AVX2 host in tiles of four targets, elsewhere one exact_potential per
+/// target. A chunk holds four tiles (16 targets) so small halos amortize
+/// their dispatch, and one tile from 8192 members up so the pool spreads a
+/// monster over every worker while small-halo tasks fill the gaps. φ is
+/// elementwise, so the chunking never changes a value.
 inline std::vector<double> potentials(dpp::Backend backend,
                                       const sim::ParticleSet& p,
                                       std::span<const std::uint32_t> members,
+                                      std::span<const std::uint32_t> targets,
                                       const CenterConfig& cfg) {
   const std::size_t n = members.size();
+  const std::size_t count = targets.size();
   const std::size_t tiles_per_chunk = n >= 8192 ? 1 : 4;
-  std::vector<double> phi(n);
+  std::vector<double> phi(count);
 #ifdef COSMO_CENTER_AVX2
   if (has_avx2()) {
     dpp::for_each_chunk(
-        backend, (n + 3) / 4,
+        backend, (count + 3) / 4,
         [&](std::size_t lo, std::size_t hi) {
-          potentials_avx2(p, members, 4 * lo, std::min(4 * hi, n), cfg, phi);
+          const std::size_t t = 4 * lo, len = std::min(4 * hi, count) - t;
+          potentials_avx2(p, members, targets.subspan(t, len), cfg,
+                          std::span(phi).subspan(t, len));
         },
         tiles_per_chunk);
     return phi;
@@ -190,10 +224,127 @@ inline std::vector<double> potentials(dpp::Backend backend,
 #endif
   dpp::tabulate<double>(
       backend, phi,
-      [&](std::size_t k) { return exact_potential(p, members, k, cfg); },
+      [&](std::size_t t) {
+        return exact_potential(p, members, targets[t], cfg);
+      },
       4 * tiles_per_chunk);
   return phi;
 }
+
+/// φ of every member.
+inline std::vector<double> potentials(dpp::Backend backend,
+                                      const sim::ParticleSet& p,
+                                      std::span<const std::uint32_t> members,
+                                      const CenterConfig& cfg) {
+  std::vector<std::uint32_t> all(members.size());
+  std::iota(all.begin(), all.end(), 0u);
+  return potentials(backend, p, members, all, cfg);
+}
+
+/// Leaf size of the A*'s k-d tree: its near-field blocks are this many
+/// targets against this many sources.
+inline constexpr std::size_t kBoundLeafSize = 8;
+
+/// lb[k] ≤ exact_potential(p, members, k, cfg) + bound_slack(lb[k], n) for
+/// every member k, from one pool dispatch over the leaves of a k-d tree on
+/// the halo. For target leaf T, one walk from the root accepts a source
+/// node S when diam(T) + diam(S) < 2·dmin(T, S): S then holds none of T's
+/// targets, and −count(S)/(dmin + ε) bounds the sum of S's terms for every
+/// target in T, because kdtree.h's node bound never exceeds a pair's
+/// distance, bit for bit. Every leaf the walk reaches unaccepted is near
+/// field, summed term by term in exact_potential's operations. Each leaf's
+/// bounds depend only on the tree, so they are the same bits on every
+/// backend.
+inline std::vector<double> potential_bounds(
+    dpp::Backend backend, const sim::ParticleSet& p,
+    std::span<const std::uint32_t> members, const CenterConfig& cfg) {
+  const std::size_t n = members.size();
+  // The halo's positions by member index, so the tree's index() holds
+  // member indices.
+  sim::ParticleSet q(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    q.x[k] = p.x[members[k]];
+    q.y[k] = p.y[members[k]];
+    q.z[k] = p.z[members[k]];
+  }
+  std::vector<std::uint32_t> all(n);
+  std::iota(all.begin(), all.end(), 0u);
+  const KdTree tree(
+      q, std::move(all),
+      cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{},
+      kBoundLeafSize, backend);
+  const auto idx = tree.index();
+  std::vector<double> diam(tree.node_count());
+  std::vector<std::int32_t> leaves;
+  for (std::size_t id = 0; id < diam.size(); ++id) {
+    const KdTree::Node& nd = tree.node(static_cast<std::int32_t>(id));
+    const double ex = nd.hi[0] - nd.lo[0], ey = nd.hi[1] - nd.lo[1],
+                 ez = nd.hi[2] - nd.lo[2];
+    diam[id] = std::sqrt(ex * ex + ey * ey + ez * ez);
+    if (nd.leaf()) leaves.push_back(static_cast<std::int32_t>(id));
+  }
+
+  std::vector<double> lb(n);
+  dpp::for_each_index(backend, leaves.size(), [&](std::size_t li) {
+    const KdTree::Node& T = tree.node(leaves[li]);
+    const double diam_t = diam[static_cast<std::size_t>(leaves[li])];
+    double far = 0.0;
+    std::array<double, kBoundLeafSize> near{};
+    // A walk's pending nodes: one sibling per level of a tree at most 32
+    // deep (n < 2³²), plus the node in hand.
+    std::array<std::int32_t, 64> stack{};
+    std::size_t top = 0;
+    stack[top++] = tree.root();
+    while (top != 0) {
+      const std::int32_t id = stack[--top];
+      const KdTree::Node& S = tree.node(id);
+      double dmin2, dmax2;
+      tree.node_dist2(T, S, dmin2, dmax2);
+      const double dmin = std::sqrt(dmin2);
+      if (diam_t + diam[static_cast<std::size_t>(id)] < 2.0 * dmin) {
+        far -= static_cast<double>(S.count()) / (dmin + cfg.softening);
+        continue;
+      }
+      if (!S.leaf()) {
+        stack[top++] = S.right;
+        stack[top++] = S.left;
+        continue;
+      }
+      for (std::uint32_t a = T.begin; a < T.end; ++a) {
+        const std::uint32_t i = idx[a];
+        const double xi = q.x[i], yi = q.y[i], zi = q.z[i];
+        double& phi = near[a - T.begin];
+        for (std::uint32_t b = S.begin; b < S.end; ++b) {
+          const std::uint32_t j = idx[b];
+          if (j == i) continue;
+          const double dx = fold(xi - q.x[j], cfg.box);
+          const double dy = fold(yi - q.y[j], cfg.box);
+          const double dz = fold(zi - q.z[j], cfg.box);
+          const double d = std::sqrt(dx * dx + dy * dy + dz * dz);
+          phi -= 1.0 / (d + cfg.softening);
+        }
+      }
+    }
+    for (std::uint32_t a = T.begin; a < T.end; ++a)
+      lb[idx[a]] = far + near[a - T.begin];
+  });
+  return lb;
+}
+
+/// δ, the rounding slack of the A*'s stop test, for a member with bound lb
+/// in a halo of n members. lb and exact_potential each add at most n − 1
+/// pieces of one sign, so in any order of addition each sum rounds by less
+/// than (n − 2)·u of its magnitude, u = 2⁻⁵³, to first order. A near-field
+/// piece is an exact term, operation for operation; a far-field piece is
+/// at least the exact terms it replaces times (1 − 2u). So exact_potential
+/// ≥ lb − 2n·u·|lb| to first order; δ doubles that, which also covers the
+/// second-order terms.
+inline double bound_slack(double lb, std::size_t n) {
+  return 4.0 * static_cast<double>(n) * 0x1p-53 * -lb;
+}
+
+/// Targets in the A*'s seed batch: the lowest bounds, four tiles.
+inline constexpr std::size_t kAStarSeeds = 16;
 
 }  // namespace detail
 
@@ -218,85 +369,71 @@ inline CenterResult mbp_center_brute(dpp::Backend backend,
   return r;
 }
 
-/// A*-style MBP center. A k-d tree over the halo provides, for each
-/// particle, an optimistic (lower) bound on its potential:
-///     φ_lb(i) = Σ_nodes −count(node) / max(dmin(i, node), ε̃)
-/// descending only where the bound is loose. Particles are then expanded
-/// best-first by bound; each expansion computes one exact O(n) potential.
-/// The search stops when the best exact potential is ≤ the smallest
-/// remaining bound — at that point no unexpanded particle can win.
-inline CenterResult mbp_center_astar(const sim::ParticleSet& p,
+/// Certified A* MBP center, in three pool dispatches after the tree build:
+/// the bounds (detail::potential_bounds), the exact φ of the kAStarSeeds
+/// lowest bounds, and the exact φ of every other member k with
+/// lb[k] − δ ≤ best, where best is the seeds' minimum φ. A member skipped
+/// there has φ ≥ lb − δ > best, so it is not brute force's minimum, and
+/// the evaluated members hold every member that ties it; the lowest-index
+/// tie-break then returns mbp_center_brute's member and φ bits.
+inline CenterResult mbp_center_astar(dpp::Backend backend,
+                                     const sim::ParticleSet& p,
                                      std::span<const std::uint32_t> members,
-                                     const CenterConfig& cfg = {},
-                                     double open_angle = 1.2) {
+                                     const CenterConfig& cfg = {}) {
   COSMO_REQUIRE(!members.empty(), "center of an empty halo");
   const std::size_t n = members.size();
-  Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
-  KdTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()),
-              per);
-
-  // Phase 1: optimistic bound per member.
-  std::vector<double> bound(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t i = members[k];
-    const double qx = p.x[i], qy = p.y[i], qz = p.z[i];
-    double lb = 0.0;
-    tree.traverse(
-        qx, qy, qz,
-        [&](std::int32_t id, double dmin2, double) -> int {
-          const auto& nd = tree.node(id);
-          const double diam2 =
-              (nd.hi[0] - nd.lo[0]) * (nd.hi[0] - nd.lo[0]) +
-              (nd.hi[1] - nd.lo[1]) * (nd.hi[1] - nd.lo[1]) +
-              (nd.hi[2] - nd.lo[2]) * (nd.hi[2] - nd.lo[2]);
-          // Accept when the node is far enough that the bound is tight.
-          if (diam2 < open_angle * open_angle * dmin2) return 1;
-          return 2;  // descend (leaves are handled in leaf_fn)
-        },
-        [&](const KdTree::Node& nd, bool whole) {
-          if (whole) {
-            double dmin2, dmax2;
-            tree.box_dist2(nd, qx, qy, qz, dmin2, dmax2);
-            const double dmin = std::sqrt(dmin2);
-            lb -= static_cast<double>(nd.count()) / (dmin + cfg.softening);
-          } else {
-            for (std::uint32_t t = nd.begin; t < nd.end; ++t) {
-              const std::uint32_t j = tree.index()[t];
-              if (j == i) continue;
-              const double d = std::sqrt(
-                  tree.point_dist2(qx, qy, qz, p.x[j], p.y[j], p.z[j]));
-              lb -= 1.0 / (d + cfg.softening);
-            }
-          }
-        });
-    bound[k] = lb;
-  }
-
-  // Phase 2: best-first exact evaluation.
-  using Entry = std::pair<double, std::uint32_t>;  // (bound, member index)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
-  for (std::size_t k = 0; k < n; ++k)
-    open.emplace(bound[k], static_cast<std::uint32_t>(k));
+  const std::vector<double> lb =
+      detail::potential_bounds(backend, p, members, cfg);
 
   CenterResult r;
-  double best_phi = std::numeric_limits<double>::max();
-  std::uint32_t best_k = 0;
-  std::uint64_t evals = 0;
-  while (!open.empty()) {
-    const auto [lb, k] = open.top();
-    if (best_phi <= lb) break;  // nothing left can beat the incumbent
-    open.pop();
-    const double phi = detail::exact_potential(p, members, k, cfg);
-    ++evals;
-    if (phi < best_phi || (phi == best_phi && k < best_k)) {
-      best_phi = phi;
-      best_k = k;
+  r.potential = std::numeric_limits<double>::infinity();
+  auto take = [&](std::span<const std::uint32_t> targets,
+                  const std::vector<double>& phi) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      const std::uint32_t k = targets[t];
+      if (phi[t] < r.potential ||
+          (phi[t] == r.potential && k < r.member_index)) {
+        r.potential = phi[t];
+        r.member_index = k;
+      }
     }
-  }
-  r.member_index = best_k;
-  r.particle = members[best_k];
-  r.potential = best_phi;
-  r.exact_evaluations = evals;
+    r.exact_evaluations += targets.size();
+  };
+
+  std::vector<std::uint32_t> seeds(n);
+  std::iota(seeds.begin(), seeds.end(), 0u);
+  const std::size_t s = std::min(n, detail::kAStarSeeds);
+  std::nth_element(seeds.begin(), seeds.begin() + (s - 1), seeds.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return lb[a] < lb[b];
+                   });
+  seeds.resize(s);
+  take(seeds, detail::potentials(backend, p, members, seeds, cfg));
+
+  std::vector<char> seeded(n, 0);
+  for (const std::uint32_t k : seeds) seeded[k] = 1;
+  const double best = r.potential;
+  std::vector<std::uint32_t> sweep;
+  for (std::uint32_t k = 0; k < n; ++k)
+    if (!seeded[k] && !(lb[k] - detail::bound_slack(lb[k], n) > best))
+      sweep.push_back(k);
+  take(sweep, detail::potentials(backend, p, members, sweep, cfg));
+
+  r.particle = members[r.member_index];
+  return r;
+}
+
+/// The MBP center: A* from kAStarMinMembers members up, brute force below.
+/// Both return the same result; the count of exact φ sums is traced as
+/// halo.center_evals.
+inline CenterResult mbp_center(dpp::Backend backend,
+                               const sim::ParticleSet& p,
+                               std::span<const std::uint32_t> members,
+                               const CenterConfig& cfg = {}) {
+  const CenterResult r = members.size() >= kAStarMinMembers
+                             ? mbp_center_astar(backend, p, members, cfg)
+                             : mbp_center_brute(backend, p, members, cfg);
+  COSMO_COUNT("halo.center_evals", r.exact_evaluations);
   return r;
 }
 

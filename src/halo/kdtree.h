@@ -5,11 +5,12 @@
 // covers a contiguous range of index(), so the leaves in preorder tile
 // index() in ascending order. Two bounds drive every query, both from one
 // per-axis interval–interval bound (a point is a zero-width interval):
-// - box_dist2, point–node: range queries, k-nearest neighbours (the subhalo
-//   finder's density estimates) and the A* centre finder's traversal;
-// - node_dist2, node–node: the FOF linker's per-leaf walk, which prunes a
-//   node farther than the linking length from a whole leaf and unites a
-//   node nearer than it with the leaf outright.
+// - box_dist2, point–node: range queries and k-nearest neighbours (the
+//   subhalo finder's density estimates);
+// - node_dist2, node–node: the per-leaf walks of the FOF linker, which
+//   prunes a node farther than the linking length from a whole leaf and
+//   unites a node nearer than it with the leaf outright, and of the A*
+//   centre finder, whose far-field bound divides by a node's distance.
 // The bounds are exact, not approximate. Along an axis IEEE rounding is
 // monotone, so differences of the interval ends bracket every coordinate
 // difference across the two intervals. The periodic images shift by ±box;
@@ -113,17 +114,6 @@ class KdTree {
                          Fn&& fn) const {
     if (root_ < 0) return;
     range_recurse(root_, qx, qy, qz, r * r, fn);
-  }
-
-  /// Visitor-based point traversal (the A* centre finder's).
-  /// visit(node_id, min_dist2, max_dist2) returns:
-  ///   0 = prune (ignore subtree), 1 = accept whole subtree, 2 = descend.
-  /// On accept/leaf, leaf_fn(node) is called.
-  template <typename Visit, typename LeafFn>
-  void traverse(double qx, double qy, double qz, Visit&& visit,
-                LeafFn&& leaf_fn) const {
-    if (root_ < 0) return;
-    traverse_recurse(root_, qx, qy, qz, visit, leaf_fn);
   }
 
   /// Squared min/max distance from a query point to a node's bounding box,
@@ -330,22 +320,6 @@ class KdTree {
     }
     range_recurse(n.left, qx, qy, qz, r2, fn);
     range_recurse(n.right, qx, qy, qz, r2, fn);
-  }
-
-  template <typename Visit, typename LeafFn>
-  void traverse_recurse(std::int32_t id, double qx, double qy, double qz,
-                        Visit& visit, LeafFn& leaf_fn) const {
-    const Node& n = node(id);
-    double dmin2, dmax2;
-    box_dist2(n, qx, qy, qz, dmin2, dmax2);
-    const int action = visit(id, dmin2, dmax2);
-    if (action == 0) return;
-    if (action == 1 || n.leaf()) {
-      leaf_fn(n, action == 1);
-      return;
-    }
-    traverse_recurse(n.left, qx, qy, qz, visit, leaf_fn);
-    traverse_recurse(n.right, qx, qy, qz, visit, leaf_fn);
   }
 
   template <typename Heap>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -404,11 +405,15 @@ TEST_P(AStarSweep, AStarAgreesWithBruteAndPrunes) {
   CenterConfig cfg;
   cfg.box = 10.0;
   auto brute = mbp_center_brute(dpp::Backend::Serial, p, members, cfg);
-  auto astar = mbp_center_astar(p, members, cfg);
-  EXPECT_EQ(astar.particle, brute.particle);
-  EXPECT_DOUBLE_EQ(astar.potential, brute.potential);
-  EXPECT_LT(astar.exact_evaluations, n / 2)
-      << "A* should prune most exact evaluations on a concentrated halo";
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+    auto astar = mbp_center_astar(backend, p, members, cfg);
+    EXPECT_EQ(astar.member_index, brute.member_index);
+    EXPECT_EQ(astar.particle, brute.particle);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(astar.potential),
+              std::bit_cast<std::uint64_t>(brute.potential));
+    EXPECT_LT(astar.exact_evaluations, n / 2)
+        << "A* should prune most exact evaluations on a concentrated halo";
+  }
 }
 
 TEST(CenterFinder, SingleParticleHalo) {
@@ -418,15 +423,18 @@ TEST(CenterFinder, SingleParticleHalo) {
   auto r = mbp_center_brute(dpp::Backend::Serial, p, members, {});
   EXPECT_EQ(r.particle, 0u);
   EXPECT_DOUBLE_EQ(r.potential, 0.0);
-  auto a = mbp_center_astar(p, members, {});
+  auto a = mbp_center_astar(dpp::Backend::Serial, p, members, {});
   EXPECT_EQ(a.particle, 0u);
+  EXPECT_DOUBLE_EQ(a.potential, 0.0);
+  EXPECT_EQ(a.exact_evaluations, 1u);
 }
 
 TEST(CenterFinder, EmptyHaloThrows) {
   ParticleSet p;
   std::vector<std::uint32_t> members;
   EXPECT_THROW(mbp_center_brute(dpp::Backend::Serial, p, members, {}), Error);
-  EXPECT_THROW(mbp_center_astar(p, members, {}), Error);
+  EXPECT_THROW(mbp_center_astar(dpp::Backend::Serial, p, members, {}), Error);
+  EXPECT_THROW(mbp_center(dpp::Backend::Serial, p, members, {}), Error);
 }
 
 TEST(CenterFinder, CenterOfSyntheticHaloNearTruthCenter) {

@@ -1,7 +1,8 @@
 // Backend bit-identity tests for the parallel halo-analysis chain: FOF
 // linking blocks, the parallel k-d tree build, the per-halo property
-// fan-out in the core pipeline, the property kernels themselves, and the
-// AVX2 tile kernel of the MBP center finder against the scalar sum.
+// fan-out in the core pipeline, the property kernels themselves, the
+// AVX2 tile kernel of the MBP center finder against the scalar sum, and
+// the certified A* center finder against brute force.
 // Everything here asserts EXACT equality between Serial and ThreadPool —
 // the dpp contract — not tolerance-based agreement.
 #include <gtest/gtest.h>
@@ -532,123 +533,309 @@ std::vector<std::uint32_t> all_members(const ParticleSet& p) {
   return m;
 }
 
-constexpr const char* kNoAvx2 =
-    "no AVX2 on this CPU (or not an x86-64 build): the center finder runs "
-    "the scalar exact_potential here, so there is no tile kernel to compare";
+/// One centring input: a halo's members within a particle set.
+struct CenterCase {
+  std::string name;
+  ParticleSet p;
+  std::vector<std::uint32_t> members;
+  CenterConfig cfg;
+};
 
-/// Calls the AVX2 tile kernel directly over every member and compares each
-/// φ bit for bit with the scalar reference exact_potential.
-void expect_kernel_bitwise(const ParticleSet& p,
-                           std::span<const std::uint32_t> members,
-                           const CenterConfig& cfg, const std::string& what) {
-#ifdef COSMO_CENTER_AVX2
-  std::vector<double> phi(members.size());
-  halo::detail::potentials_avx2(p, members, 0, members.size(), cfg, phi);
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    const double ref = halo::detail::exact_potential(p, members, k, cfg);
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(phi[k]),
-              std::bit_cast<std::uint64_t>(ref))
-        << what << ": target " << k << " of " << members.size()
-        << ", kernel " << phi[k] << " vs scalar " << ref;
-  }
-#else
-  (void)p, (void)members, (void)cfg, (void)what;
-#endif
+CenterCase whole_set(std::string name, ParticleSet p, double box,
+                     double softening = CenterConfig{}.softening) {
+  CenterCase c{std::move(name), std::move(p), {}, {}};
+  c.members = all_members(c.p);
+  c.cfg.box = box;
+  c.cfg.softening = softening;
+  return c;
 }
 
-TEST(MbpTileKernel, BitwiseEqualToScalarForEveryRemainder) {
-  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
-  CenterConfig cfg;
-  cfg.box = 10.0;
-  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 63u, 1001u}) {
-    const ParticleSet p = wrapped_blob(n, 5.0, 0.4, cfg.box, 100 + n);
-    expect_kernel_bitwise(p, all_members(p), cfg, "n=" + std::to_string(n));
-  }
+/// Every size from one target to many tiles, each tile remainder included.
+std::vector<CenterCase> remainder_cases() {
+  std::vector<CenterCase> out;
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 63u, 1001u})
+    out.push_back(whole_set("n=" + std::to_string(n),
+                            wrapped_blob(n, 5.0, 0.4, 10.0, 100 + n), 10.0));
+  return out;
 }
 
-TEST(MbpTileKernel, BitwiseEqualAcrossThePeriodicSeam) {
-  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
-  // Centred on the box corner: every axis straddles the seam, so pairs
-  // fold through both the d > box/2 and the d < −box/2 branch.
-  CenterConfig cfg;
-  cfg.box = 16.0;
-  const ParticleSet p = wrapped_blob(203, 0.0, 0.6, cfg.box, 7);
+/// Centred on the box corner: every axis straddles the seam, so pairs fold
+/// through both the d > box/2 and the d < −box/2 branch. box = 0 is the
+/// non-periodic case: the same particles, never folded.
+std::vector<CenterCase> seam_cases() {
+  const ParticleSet p = wrapped_blob(203, 0.0, 0.6, 16.0, 7);
   for (const auto* axis : {&p.x, &p.y, &p.z}) {
-    ASSERT_TRUE(std::any_of(axis->begin(), axis->end(),
+    EXPECT_TRUE(std::any_of(axis->begin(), axis->end(),
                             [](float v) { return v < 1.0f; }));
-    ASSERT_TRUE(std::any_of(axis->begin(), axis->end(),
-                            [&](float v) { return v > cfg.box - 1.0; }));
+    EXPECT_TRUE(std::any_of(axis->begin(), axis->end(),
+                            [](float v) { return v > 15.0f; }));
   }
-  expect_kernel_bitwise(p, all_members(p), cfg, "seam");
-  // box = 0 is the non-periodic case: the same particles, never folded.
-  cfg.box = 0.0;
-  expect_kernel_bitwise(p, all_members(p), cfg, "box=0");
+  std::vector<CenterCase> out;
+  out.push_back(whole_set("seam", p, 16.0));
+  out.push_back(whole_set("box=0", p, 0.0));
+  return out;
 }
 
-TEST(MbpTileKernel, BitwiseEqualWithCoincidentParticles) {
-  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
-  // Every position three times over, so d = 0 for non-self pairs. Then no
-  // softening at all: each coincident pair adds −inf, and the self pair,
-  // whose term is +inf too, must still add nothing (not inf·0 = NaN).
+/// Every position three times over, so d = 0 for non-self pairs. Then no
+/// softening at all: each coincident pair adds −inf, and the self pair,
+/// whose term is +inf too, must still add nothing (not inf·0 = NaN).
+std::vector<CenterCase> coincident_cases() {
   const ParticleSet base = wrapped_blob(23, 5.0, 0.3, 10.0, 8);
   ParticleSet p;
   for (int copy = 0; copy < 3; ++copy)
     for (std::size_t i = 0; i < base.size(); ++i)
       p.push_back(base.x[i], base.y[i], base.z[i], 0, 0, 0,
                   static_cast<std::int64_t>(p.size()));
-  CenterConfig cfg;
-  cfg.box = 10.0;
-  expect_kernel_bitwise(p, all_members(p), cfg, "coincident");
-  cfg.softening = 0.0;
-  expect_kernel_bitwise(p, all_members(p), cfg, "coincident, no softening");
-  const ParticleSet single = wrapped_blob(9, 5.0, 0.3, 10.0, 9);
-  expect_kernel_bitwise(single, all_members(single), cfg, "no softening");
+  std::vector<CenterCase> out;
+  out.push_back(whole_set("coincident", p, 10.0));
+  out.push_back(whole_set("coincident, no softening", p, 10.0, 0.0));
+  out.push_back(whole_set("no softening", wrapped_blob(9, 5.0, 0.3, 10.0, 9),
+                          10.0, 0.0));
+  return out;
 }
 
-TEST(MbpTileKernel, BitwiseEqualOnPermutedSubset) {
-  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
-  // FOF halos index a larger particle set in no particular order.
-  CenterConfig cfg;
-  cfg.box = 12.0;
-  const ParticleSet p = wrapped_blob(3000, 11.5, 0.8, cfg.box, 10);
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t i = 0; i < p.size(); i += 1 + i % 5) members.push_back(i);
+/// FOF halos index a larger particle set in no particular order.
+CenterCase permuted_subset_case() {
+  CenterCase c{"permuted subset", wrapped_blob(3000, 11.5, 0.8, 12.0, 10),
+               {}, {}};
+  c.cfg.box = 12.0;
+  for (std::uint32_t i = 0; i < c.p.size(); i += 1 + i % 5)
+    c.members.push_back(i);
   Rng rng(11);
-  for (std::size_t i = members.size() - 1; i > 0; --i)
-    std::swap(members[i], members[rng.below(i + 1)]);
-  if (members.size() % 4 == 0) members.pop_back();  // keep a short tile
-  expect_kernel_bitwise(p, members, cfg, "permuted subset");
+  for (std::size_t i = c.members.size() - 1; i > 0; --i)
+    std::swap(c.members[i], c.members[rng.below(i + 1)]);
+  if (c.members.size() % 4 == 0) c.members.pop_back();  // keep a short tile
+  return c;
 }
 
-TEST(MbpTileKernel, MonsterHaloSerialEqualsPoolEqualsReference) {
-  // Above the one-tile-per-chunk size, on the real NFW profile. Runs on
-  // every host: without AVX2 it checks the scalar path the same way.
-  CenterConfig cfg;
-  cfg.box = 48.0;
+/// Above the one-tile-per-chunk size and the A* cut-off, on the real NFW
+/// profile, straddling the x seam.
+CenterCase nfw_monster_case() {
   ParticleSet p(8203);
   Rng rng(12);
   sim::detail::NfwSampler nfw(p, 5.0);
   nfw.draw(rng, 47.2, 24.0, 0.5, 1.6, p.size(), 0, 0.0);
   nfw.flush();
-  p.wrap_positions(static_cast<float>(cfg.box));
-  const auto members = all_members(p);
+  p.wrap_positions(48.0f);
+  return whole_set("NFW monster", std::move(p), 48.0);
+}
+
+/// Every tile kernel input but the monster.
+std::vector<CenterCase> adversarial_cases() {
+  std::vector<CenterCase> out = remainder_cases();
+  for (auto& c : seam_cases()) out.push_back(std::move(c));
+  for (auto& c : coincident_cases()) out.push_back(std::move(c));
+  out.push_back(permuted_subset_case());
+  return out;
+}
+
+constexpr const char* kNoAvx2 =
+    "no AVX2 on this CPU (or not an x86-64 build): the center finder runs "
+    "the scalar exact_potential here, so there is no tile kernel to compare";
+
+/// Calls the AVX2 tile kernel directly on a target list and compares each
+/// φ bit for bit with the scalar reference exact_potential.
+void expect_kernel_bitwise(const CenterCase& c,
+                           std::span<const std::uint32_t> targets,
+                           const std::string& what) {
+#ifdef COSMO_CENTER_AVX2
+  std::vector<double> phi(targets.size());
+  halo::detail::potentials_avx2(c.p, c.members, targets, c.cfg, phi);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const double ref =
+        halo::detail::exact_potential(c.p, c.members, targets[t], c.cfg);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(phi[t]),
+              std::bit_cast<std::uint64_t>(ref))
+        << c.name << ", " << what << ": target " << targets[t] << " of "
+        << c.members.size() << ", kernel " << phi[t] << " vs scalar " << ref;
+  }
+#else
+  (void)c, (void)targets, (void)what;
+#endif
+}
+
+void expect_kernel_bitwise(const CenterCase& c) {
+  std::vector<std::uint32_t> every(c.members.size());
+  std::iota(every.begin(), every.end(), 0u);
+  expect_kernel_bitwise(c, every, "every member");
+}
+
+TEST(MbpTileKernel, BitwiseEqualToScalarForEveryRemainder) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  for (const auto& c : remainder_cases()) expect_kernel_bitwise(c);
+}
+
+TEST(MbpTileKernel, BitwiseEqualAcrossThePeriodicSeam) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  for (const auto& c : seam_cases()) expect_kernel_bitwise(c);
+}
+
+TEST(MbpTileKernel, BitwiseEqualWithCoincidentParticles) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  for (const auto& c : coincident_cases()) expect_kernel_bitwise(c);
+}
+
+TEST(MbpTileKernel, BitwiseEqualOnPermutedSubset) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  expect_kernel_bitwise(permuted_subset_case());
+}
+
+TEST(MbpTileKernel, TargetListsBitwiseEqualToScalar) {
+  if (!halo::detail::has_avx2()) GTEST_SKIP() << kNoAvx2;
+  // The A* hands the kernel arbitrary member lists: out of order, runs of
+  // neighbours (whose self pairs fall in one another's lanes), and lengths
+  // that leave a short last tile.
+  const CenterCase c = permuted_subset_case();
+  const auto n = static_cast<std::uint32_t>(c.members.size());
+  const std::vector<std::vector<std::uint32_t>> lists = {
+      {5, 6, 7, 8},       {8, 7, 6, 5},    {6, 5, 8, 7, 9},
+      {0, 1, 2},          {n - 1, n - 2},  {n - 1},
+      {3, 3, 3, 3, 3},    {0, n - 1, 1, n - 2, 2, n - 3, 3}};
+  for (const auto& list : lists) expect_kernel_bitwise(c, list, "list");
+  std::vector<std::uint32_t> shuffled(n);
+  std::iota(shuffled.begin(), shuffled.end(), 0u);
+  Rng rng(13);
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i)
+    std::swap(shuffled[i], shuffled[rng.below(i + 1)]);
+  for (const std::size_t len : {1u, 2u, 3u, 5u, 6u, 7u, 61u})
+    expect_kernel_bitwise(
+        c, std::span(shuffled).first(len),
+        "shuffled list of " + std::to_string(len));
+}
+
+TEST(MbpTileKernel, MonsterHaloSerialEqualsPoolEqualsReference) {
+  // Above the one-tile-per-chunk size, on the real NFW profile. Runs on
+  // every host: without AVX2 it checks the scalar path the same way.
+  const CenterCase c = nfw_monster_case();
+  const auto& members = c.members;
   ASSERT_GE(members.size(), 8192u);
 
   std::vector<double> ref(members.size());
   dpp::tabulate<double>(dpp::Backend::ThreadPool, ref, [&](std::size_t k) {
-    return halo::detail::exact_potential(p, members, k, cfg);
+    return halo::detail::exact_potential(c.p, members, k, c.cfg);
   });
   std::size_t best = 0;
   for (std::size_t k = 1; k < ref.size(); ++k)
     if (ref[k] < ref[best]) best = k;
 
   for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
-    const auto r = mbp_center_brute(backend, p, members, cfg);
+    const auto r = mbp_center_brute(backend, c.p, members, c.cfg);
     EXPECT_EQ(r.member_index, best) << dpp::to_string(backend);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(r.potential),
               std::bit_cast<std::uint64_t>(ref[best]))
         << dpp::to_string(backend);
   }
+}
+
+// -------------------------------------------------------- certified A* --
+
+/// The A* returns brute force's member, particle and φ bits on both
+/// backends, with the same count of exact sums; mbp_center returns the
+/// same center from the finder its size rule picks.
+void expect_astar_exact(const CenterCase& c) {
+  const auto brute = mbp_center_brute(dpp::Backend::ThreadPool, c.p,
+                                      c.members, c.cfg);
+  std::uint64_t evals = 0;
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+    const std::string where =
+        c.name + " (n " + std::to_string(c.members.size()) + ", " +
+        dpp::to_string(backend) + ")";
+    const auto a = mbp_center_astar(backend, c.p, c.members, c.cfg);
+    EXPECT_EQ(a.member_index, brute.member_index) << where;
+    EXPECT_EQ(a.particle, brute.particle) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.potential),
+              std::bit_cast<std::uint64_t>(brute.potential))
+        << where << ": A* " << a.potential << " vs brute " << brute.potential;
+    EXPECT_GE(a.exact_evaluations, 1u) << where;
+    EXPECT_LE(a.exact_evaluations, c.members.size()) << where;
+    if (backend == dpp::Backend::Serial)
+      evals = a.exact_evaluations;
+    else
+      EXPECT_EQ(a.exact_evaluations, evals) << where;
+
+    const auto m = mbp_center(backend, c.p, c.members, c.cfg);
+    EXPECT_EQ(m.member_index, brute.member_index) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.potential),
+              std::bit_cast<std::uint64_t>(brute.potential))
+        << where;
+    EXPECT_EQ(m.exact_evaluations, c.members.size() >= kAStarMinMembers
+                                       ? a.exact_evaluations
+                                       : c.members.size())
+        << where << ": mbp_center picks its finder by member count";
+  }
+}
+
+/// The certificate itself: lb − δ ≤ exact_potential for every member, with
+/// the bounds bit-identical on both backends.
+void expect_bounds_certified(const CenterCase& c) {
+  const std::size_t n = c.members.size();
+  const auto lb = halo::detail::potential_bounds(dpp::Backend::Serial, c.p,
+                                                 c.members, c.cfg);
+  const auto pooled = halo::detail::potential_bounds(
+      dpp::Backend::ThreadPool, c.p, c.members, c.cfg);
+  ASSERT_EQ(lb.size(), n);
+  ASSERT_EQ(std::memcmp(lb.data(), pooled.data(), n * sizeof(double)), 0)
+      << c.name << ": bounds differ between backends";
+  std::vector<double> phi(n);
+  dpp::tabulate<double>(dpp::Backend::ThreadPool, phi, [&](std::size_t k) {
+    return halo::detail::exact_potential(c.p, c.members, k, c.cfg);
+  });
+  for (std::size_t k = 0; k < n; ++k)
+    ASSERT_LE(lb[k] - halo::detail::bound_slack(lb[k], n), phi[k])
+        << c.name << ": member " << k << " of " << n << ", bound " << lb[k]
+        << ", slack " << halo::detail::bound_slack(lb[k], n) << ", phi "
+        << phi[k];
+}
+
+TEST(CertifiedAStar, MatchesBruteOnEveryTileKernelInput) {
+  for (const auto& c : adversarial_cases()) expect_astar_exact(c);
+}
+
+TEST(CertifiedAStar, MatchesBruteOnTheNfwMonsterAndPrunes) {
+  const CenterCase c = nfw_monster_case();
+  ASSERT_GE(c.members.size(), kAStarMinMembers);
+  expect_astar_exact(c);
+  const auto a =
+      mbp_center_astar(dpp::Backend::ThreadPool, c.p, c.members, c.cfg);
+  EXPECT_LT(a.exact_evaluations, c.members.size() / 4)
+      << "the bounds should rule out most of a concentrated monster";
+}
+
+TEST(CertifiedAStar, BoundsLessSlackNeverExceedPhi) {
+  for (const auto& c : adversarial_cases()) expect_bounds_certified(c);
+  expect_bounds_certified(nfw_monster_case());
+}
+
+TEST(CertifiedAStar, MatchesBruteOnEveryFofHaloOfAMonsterUniverse) {
+  // The Table 3/4 universe: 60 NFW halos of 60 to 26,000 particles in a
+  // box of 48 (one near 12,000), found by FOF as the workflows find them.
+  sim::SyntheticConfig scfg;
+  scfg.box = 48.0;
+  scfg.seed = 20151115;
+  scfg.halo_count = 60;
+  scfg.min_particles = 60;
+  scfg.max_particles = 26000;
+  scfg.background_particles = 12000;
+  scfg.subclump_fraction = 0.0;
+  comm::run_spmd(1, [&](comm::Comm& comm) {
+    sim::Cosmology cosmo;
+    const auto u = generate_synthetic(comm, cosmo, scfg);
+    FofConfig fcfg;
+    fcfg.linking_length = 0.32;
+    fcfg.min_size = 40;
+    fcfg.backend = dpp::Backend::ThreadPool;
+    const auto halos = fof_find(u.local, Periodicity::all(scfg.box), fcfg);
+    ASSERT_GE(halos.size(), 50u);
+    ASSERT_GE(halos.front().members.size(), kAStarMinMembers);
+    CenterCase c{"", u.local, {}, {}};
+    c.cfg.box = scfg.box;
+    for (const auto& h : halos) {
+      c.name = "FOF halo " + std::to_string(h.id);
+      c.members = h.members;
+      expect_astar_exact(c);
+      expect_bounds_certified(c);
+    }
+  });
 }
 
 TEST(ParallelMergerTree, LinksBackendInvariant) {
