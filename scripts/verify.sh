@@ -21,9 +21,12 @@
 #                              injection on the comm/listener/staging hot
 #                              paths, including the coordinated-abort
 #                              collectives), test_halo_parallel (the
-#                              per-halo fan-out, parallel FOF linking and
-#                              parallel k-d tree build racing nested
-#                              dispatches), test_workflows (the staging
+#                              per-halo fan-out, parallel FOF linking into
+#                              one shared lock-free union-find, the
+#                              union-find itself from pool chunks and from
+#                              four ranks at once, and the parallel k-d tree
+#                              build racing nested dispatches),
+#                              test_workflows (the staging
 #                              handoff between the simulation and Level 2
 #                              jobs), test_campaign (concurrent analysis
 #                              jobs on listener threads, drained on success
@@ -33,11 +36,16 @@
 #                              fails on any reported race.
 #   scripts/verify.sh --asan   AddressSanitizer + UBSan pass over the index
 #                              arithmetic: builds test_halo, test_halo_parallel
-#                              (FOF leaf ranges, k-d tree), test_io, test_campaign
-#                              (aggregated I/O, checkpoint restart), test_faults
-#                              and test_sim (the synthetic generator's pre-sized
-#                              particle ranges) with -DCOSMO_ASAN=ON in
-#                              build-asan/ and fails on any report.
+#                              (FOF leaf ranges over the tree's point copy,
+#                              k-d tree layout, A* bounds), test_bh_shape
+#                              (k-d and BH range/kNN oracles, k = 0),
+#                              test_robustness (FOF permutation invariance,
+#                              coincident and empty inputs), test_io,
+#                              test_campaign (aggregated I/O, checkpoint
+#                              restart), test_faults and test_sim (the
+#                              synthetic generator's pre-sized particle
+#                              ranges) with -DCOSMO_ASAN=ON in build-asan/
+#                              and fails on any report.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -61,8 +69,8 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-asan}"
-  asan_tests=(test_halo test_halo_parallel test_io test_campaign test_faults
-    test_sim)
+  asan_tests=(test_halo test_halo_parallel test_bh_shape test_robustness
+    test_io test_campaign test_faults test_sim)
   cmake -B "$build_dir" -S "$repo_root" -DCOSMO_ASAN=ON
   cmake --build "$build_dir" --target "${asan_tests[@]}" -j "$jobs"
   for t in "${asan_tests[@]}"; do

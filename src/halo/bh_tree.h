@@ -78,12 +78,12 @@ class BhTree {
   std::size_t node_count() const { return nodes_.size(); }
   const Node& node(std::size_t id) const { return nodes_[id]; }
 
-  /// Exact k nearest neighbors of a point, nearest first.
+  /// Exact k nearest neighbors of a point, nearest first; none for k = 0.
   std::vector<std::uint32_t> k_nearest(double qx, double qy, double qz,
                                        std::size_t k) const {
     using Entry = std::pair<double, std::uint32_t>;
     std::priority_queue<Entry> best;  // max-heap of the k closest so far
-    if (!nodes_.empty()) knn(0, qx, qy, qz, k, best);
+    if (!nodes_.empty() && k > 0) knn(0, qx, qy, qz, k, best);
     std::vector<std::uint32_t> out(best.size());
     for (std::size_t i = out.size(); i-- > 0;) {
       out[i] = best.top().second;

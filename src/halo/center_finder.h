@@ -17,10 +17,12 @@
 //  * mbp_center_astar — the paper's A* search (reported ~8x faster than
 //                       serial brute force), certified and pooled. One pool
 //                       dispatch bounds every member's φ from below: per
-//                       k-d tree leaf of targets, one walk accepts source
-//                       nodes far from the whole leaf into a far-field term
-//                       the leaf's targets share, and sums the near-field
-//                       leaves exactly. Two more dispatches run the tile
+//                       leaf of targets of a k-d tree built on the members'
+//                       positions alone, one walk accepts source nodes far
+//                       from the whole leaf into a far-field term the
+//                       leaf's targets share, and sums the near-field leaves
+//                       exactly from the tree's own copy of the positions,
+//                       16 bytes a member. Two more dispatches run the tile
 //                       kernel on lists of targets: a seed batch of the
 //                       lowest bounds, then every member whose bound, less
 //                       δ, does not exceed the seeds' best φ. δ bounds the
@@ -252,28 +254,24 @@ inline constexpr std::size_t kBoundLeafSize = 8;
 /// targets, and −count(S)/(dmin + ε) bounds the sum of S's terms for every
 /// target in T, because kdtree.h's node bound never exceeds a pair's
 /// distance, bit for bit. Every leaf the walk reaches unaccepted is near
-/// field, summed term by term in exact_potential's operations. Each leaf's
-/// bounds depend only on the tree, so they are the same bits on every
-/// backend.
+/// field, summed term by term in exact_potential's operations from the
+/// tree's copy of the positions. Each leaf's bounds depend only on the
+/// tree, so they are the same bits on every backend.
 inline std::vector<double> potential_bounds(
     dpp::Backend backend, const sim::ParticleSet& p,
     std::span<const std::uint32_t> members, const CenterConfig& cfg) {
   const std::size_t n = members.size();
-  // The halo's positions by member index, so the tree's index() holds
-  // member indices.
-  sim::ParticleSet q(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    q.x[k] = p.x[members[k]];
-    q.y[k] = p.y[members[k]];
-    q.z[k] = p.z[members[k]];
+  // The halo's positions, with member indices as the tree's ids.
+  std::vector<KdTree::Point> halo(n);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const std::uint32_t i = members[k];
+    halo[k] = {{p.x[i], p.y[i], p.z[i]}, k};
   }
-  std::vector<std::uint32_t> all(n);
-  std::iota(all.begin(), all.end(), 0u);
   const KdTree tree(
-      q, std::move(all),
+      std::move(halo),
       cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{},
       kBoundLeafSize, backend);
-  const auto idx = tree.index();
+  const auto pts = tree.points();
   std::vector<double> diam(tree.node_count());
   std::vector<std::int32_t> leaves;
   for (std::size_t id = 0; id < diam.size(); ++id) {
@@ -311,22 +309,20 @@ inline std::vector<double> potential_bounds(
         continue;
       }
       for (std::uint32_t a = T.begin; a < T.end; ++a) {
-        const std::uint32_t i = idx[a];
-        const double xi = q.x[i], yi = q.y[i], zi = q.z[i];
+        const double xi = pts[a].c[0], yi = pts[a].c[1], zi = pts[a].c[2];
         double& phi = near[a - T.begin];
         for (std::uint32_t b = S.begin; b < S.end; ++b) {
-          const std::uint32_t j = idx[b];
-          if (j == i) continue;
-          const double dx = fold(xi - q.x[j], cfg.box);
-          const double dy = fold(yi - q.y[j], cfg.box);
-          const double dz = fold(zi - q.z[j], cfg.box);
+          if (b == a) continue;
+          const double dx = fold(xi - pts[b].c[0], cfg.box);
+          const double dy = fold(yi - pts[b].c[1], cfg.box);
+          const double dz = fold(zi - pts[b].c[2], cfg.box);
           const double d = std::sqrt(dx * dx + dy * dy + dz * dz);
           phi -= 1.0 / (d + cfg.softening);
         }
       }
     }
     for (std::uint32_t a = T.begin; a < T.end; ++a)
-      lb[idx[a]] = far + near[a - T.begin];
+      lb[pts[a].id] = far + near[a - T.begin];
   });
   return lb;
 }

@@ -4,26 +4,29 @@
 // closer than the linking length b. Within a rank the finder links on a
 // balanced k-d tree, one leaf at a time: for each leaf L, in preorder, one
 // walk from the root against L's bounding box
-// - skips nodes that end before L in index() order, so each unordered pair
-//   is looked at from its earlier leaf only, once;
+// - skips nodes that end before L in tree order, so each unordered pair is
+//   looked at from its earlier leaf only, once;
 // - prunes a node whose node–node minimum distance to L exceeds b;
 // - unites L ∪ N outright when the node–node maximum distance is ≤ b (every
 //   pair of L × N links, so L ∪ N is connected);
-// - at a leaf pair, tests dist2(i, j) ≤ b² unless i and j already share a
-//   root.
+// - at a leaf pair N, skips N when every member of L ∪ N already shares one
+//   root, and otherwise tests dist2(i, j) ≤ b² unless i and j already share
+//   a root.
 // The bounds never misjudge a pair (see kdtree.h), so the components are
-// exactly those of the all-pairs predicate, whatever the blocking. Across
-// ranks, each rank finds halos over its owned+overload particles; a halo is
-// kept by exactly the rank that owns the halo's minimum-tag particle.
-// Provided the overload width is at least the maximum halo extent, that
-// rank has seen the halo in its entirety, so the assignment is both unique
-// and complete.
+// exactly those of the all-pairs predicate, whatever the blocking. The
+// linker works on tree positions and reads coordinates from the tree's own
+// copy; every block unites into one shared, lock-free union-find whose
+// roots are each component's smallest element. Across ranks, each rank
+// finds halos over its owned+overload particles; a halo is kept by exactly
+// the rank that owns the halo's minimum-tag particle. Provided the overload
+// width is at least the maximum halo extent, that rank has seen the halo in
+// its entirety, so the assignment is both unique and complete.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -37,38 +40,53 @@
 
 namespace cosmo::halo {
 
-/// Union-find with path compression and union by size.
-class DisjointSets {
+/// Lock-free union-find over [0, n), shared by every thread that links.
+/// unite hangs the larger of two roots under the smaller with one CAS, and
+/// find halves the path with CASes that replace a parent by its own parent.
+/// So a parent index only ever decreases, the forest never holds a cycle,
+/// and a component's root is its smallest element whatever the order of
+/// the unions. A link, once made, is never undone: equal finds prove two
+/// elements connected even while other threads unite. Relaxed ordering is
+/// enough: a parent word publishes no other data, and the pool's join
+/// orders every link before the finds that group the halos.
+class ConcurrentUnionFind {
  public:
-  explicit DisjointSets(std::size_t n) : parent_(n), size_(n, 1) {
-    std::iota(parent_.begin(), parent_.end(), std::uint32_t{0});
+  explicit ConcurrentUnionFind(std::size_t n) : parent_(n) {
+    for (std::size_t i = 0; i < n; ++i)
+      parent_[i].store(static_cast<std::uint32_t>(i),
+                       std::memory_order_relaxed);
   }
 
   std::uint32_t find(std::uint32_t v) {
-    std::uint32_t root = v;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[v] != root) {
-      const std::uint32_t next = parent_[v];
-      parent_[v] = root;
-      v = next;
+    while (true) {
+      std::uint32_t p = parent_[v].load(std::memory_order_relaxed);
+      if (p == v) return v;
+      const std::uint32_t gp = parent_[p].load(std::memory_order_relaxed);
+      if (gp == p) return p;
+      // Halve: v's parent becomes its grandparent. If the CAS fails,
+      // another thread already moved it lower (or the failure was
+      // spurious); either way v's path stays valid.
+      parent_[v].compare_exchange_weak(p, gp, std::memory_order_relaxed);
+      v = gp;
     }
-    return root;
   }
 
-  void unite(std::uint32_t a, std::uint32_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (size_[a] < size_[b]) std::swap(a, b);
-    parent_[b] = a;
-    size_[a] += size_[b];
+  /// Joins the sets of a and b; returns the root the union hung under.
+  std::uint32_t unite(std::uint32_t a, std::uint32_t b) {
+    while (true) {
+      a = find(a);
+      b = find(b);
+      if (a == b) return a;
+      if (a < b) std::swap(a, b);
+      // On failure a was re-hung since its find (or the failure was
+      // spurious): retry from a's new parent.
+      if (parent_[a].compare_exchange_weak(a, b, std::memory_order_relaxed))
+        return b;
+    }
   }
-
-  std::size_t size() const { return parent_.size(); }
 
  private:
-  std::vector<std::uint32_t> parent_;
-  std::vector<std::uint32_t> size_;
+  std::vector<std::atomic<std::uint32_t>> parent_;
 };
 
 /// One found halo: indices into the particle set the finder ran over, plus
@@ -93,17 +111,26 @@ struct FofConfig {
 namespace detail {
 
 /// Links every pair within the linking length that has one end in a leaf
-/// of `leaves` (preorder ids) and the other at or after that leaf in
-/// index(), uniting into `sets`. Over all leaves this is every pair, once.
+/// of `leaves` (preorder ids) and the other at or after that leaf in tree
+/// order, uniting tree positions in `sets`. Over all leaves this is every
+/// pair, once.
 inline void fof_link_leaves(const KdTree& tree, double ll2,
                             std::span<const std::int32_t> leaves,
-                            DisjointSets& sets) {
-  const auto idx = tree.index();
+                            ConcurrentUnionFind& sets) {
+  // True when every member of L ∪ N already shares one root: no pair of
+  // L × N can join two components then.
+  auto one_root = [&](const KdTree::Node& L, const KdTree::Node& N) {
+    const std::uint32_t r = sets.find(L.begin);
+    for (std::uint32_t k = L.begin + 1; k < L.end; ++k)
+      if (sets.find(k) != r) return false;
+    for (std::uint32_t k = N.begin; k < N.end; ++k)
+      if (sets.find(k) != r) return false;
+    return true;
+  };
   // A walk's pending nodes: one sibling per level, plus the node in hand.
   std::vector<std::int32_t> stack;
   for (const std::int32_t leaf : leaves) {
     const KdTree::Node& L = tree.node(leaf);
-    const std::uint32_t rep = idx[L.begin];
     bool leaf_united = false;
     stack.assign(1, tree.root());
     while (!stack.empty()) {
@@ -116,10 +143,10 @@ inline void fof_link_leaves(const KdTree& tree, double ll2,
       if (dmax2 <= ll2) {  // every pair of L × N links: L ∪ N is connected
         if (!leaf_united) {
           for (std::uint32_t k = L.begin + 1; k < L.end; ++k)
-            sets.unite(rep, idx[k]);
+            sets.unite(L.begin, k);
           leaf_united = true;
         }
-        for (std::uint32_t k = N.begin; k < N.end; ++k) sets.unite(rep, idx[k]);
+        for (std::uint32_t k = N.begin; k < N.end; ++k) sets.unite(L.begin, k);
         continue;
       }
       if (!N.leaf()) {
@@ -127,93 +154,34 @@ inline void fof_link_leaves(const KdTree& tree, double ll2,
         stack.push_back(N.left);
         continue;
       }
+      if (one_root(L, N)) continue;
       // N is L itself or a leaf after it: pairs a < b only.
       for (std::uint32_t a = L.begin; a < L.end; ++a) {
-        const std::uint32_t i = idx[a];
+        std::uint32_t ra = sets.find(a);
         for (std::uint32_t b = std::max(N.begin, a + 1); b < N.end; ++b) {
-          const std::uint32_t j = idx[b];
-          if (sets.find(i) == sets.find(j)) continue;
-          if (tree.dist2(i, j) <= ll2) sets.unite(i, j);
+          const std::uint32_t rb = sets.find(b);
+          if (rb == ra) continue;
+          if (tree.dist2(a, b) <= ll2) ra = sets.unite(ra, rb);
         }
       }
     }
   }
 }
 
-}  // namespace detail
-
-/// FOF over `p` under the given periodicity. Returns halos with at least
-/// cfg.min_size members, largest first. On the ThreadPool backend the
-/// tree's leaves are cut into blocks of about cfg.grain particles (runs of
-/// whole leaves), each uniting into a private DisjointSets; the block-local
-/// partitions are folded in ascending block order. Connected components are
-/// independent of unite order, so the catalog is bit-identical to Serial at
-/// every grain.
-inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
-                                     const Periodicity& per,
-                                     const FofConfig& cfg) {
-  COSMO_REQUIRE(cfg.linking_length > 0.0, "linking length must be positive");
-  const std::size_t n = p.size();
-  std::vector<FofHalo> out;
-  if (n == 0) return out;
-
-  COSMO_TRACE_SPAN_CAT("halo.fof", "halo");
-  KdTree tree = [&] {
-    COSMO_TRACE_SPAN_CAT("halo.tree", "halo");
-    return KdTree::over_all(p, per, /*leaf_size=*/8, cfg.backend);
-  }();
-  DisjointSets sets(n);
-  const double ll2 = cfg.linking_length * cfg.linking_length;
-  // The leaves in preorder; their index() ranges tile [0, n) in order.
-  std::vector<std::int32_t> leaves;
-  for (std::int32_t id = 0; id < static_cast<std::int32_t>(tree.node_count());
-       ++id)
-    if (tree.node(id).leaf()) leaves.push_back(id);
-
-  // Cap the block count like deposit_reduce: memory stays O(workers)
-  // private DisjointSets and the ascending fold stays O(blocks · n).
-  const std::size_t nw = dpp::ThreadPool::instance().workers();
-  const std::size_t max_blocks = std::max<std::size_t>(std::size_t{1}, 4 * nw);
-  const std::size_t min_block = (n + max_blocks - 1) / max_blocks;
-  const dpp::detail::BlockDecomposition blocks(n, cfg.grain, min_block);
-  if (cfg.backend != dpp::Backend::ThreadPool || blocks.num_blocks <= 1) {
-    detail::fof_link_leaves(tree, ll2, leaves, sets);
-  } else {
-    // Block blk links the leaves that begin in its particle range.
-    auto first_leaf = [&](std::size_t pos) {
-      return static_cast<std::size_t>(
-          std::partition_point(leaves.begin(), leaves.end(),
-                               [&](std::int32_t id) {
-                                 return tree.node(id).begin < pos;
-                               }) -
-          leaves.begin());
-    };
-    std::vector<DisjointSets> partial(blocks.num_blocks, DisjointSets(n));
-    dpp::for_each_index(
-        cfg.backend, blocks.num_blocks,
-        [&](std::size_t blk) {
-          const std::size_t lo = first_leaf(blocks.lo(blk));
-          const std::size_t hi = first_leaf(blocks.hi(blk, n));
-          detail::fof_link_leaves(
-              tree, ll2, std::span(leaves).subspan(lo, hi - lo), partial[blk]);
-        },
-        /*grain=*/1);
-    for (auto& part : partial)
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t r = part.find(i);
-        if (r != i) sets.unite(i, r);
-      }
-  }
-
-  // Group members by root.
-  std::vector<std::uint32_t> root(n);
-  for (std::uint32_t i = 0; i < n; ++i) root[i] = sets.find(i);
+/// Halos of at least min_size members from root[i], a label in [0, n)
+/// that particles share exactly when they share a component. Members are
+/// in ascending particle order, halos largest first, then by id.
+inline std::vector<FofHalo> group_halos(const sim::ParticleSet& p,
+                                        std::span<const std::uint32_t> root,
+                                        std::size_t min_size) {
+  const std::size_t n = root.size();
   std::vector<std::uint32_t> count(n, 0);
   for (std::uint32_t i = 0; i < n; ++i) ++count[root[i]];
   std::vector<std::int32_t> halo_of_root(n, -1);
+  std::vector<FofHalo> out;
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t r = root[i];
-    if (count[r] < cfg.min_size) continue;
+    if (count[r] < min_size) continue;
     if (halo_of_root[r] < 0) {
       halo_of_root[r] = static_cast<std::int32_t>(out.size());
       out.emplace_back();
@@ -232,6 +200,62 @@ inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
                ? a.members.size() > b.members.size()
                : a.id < b.id;
   });
+  return out;
+}
+
+}  // namespace detail
+
+/// FOF over `p` under the given periodicity. Returns halos with at least
+/// cfg.min_size members, largest first. The tree's leaves are cut into
+/// blocks of about cfg.grain particles (runs of whole leaves), one pool
+/// task each on the ThreadPool backend, all uniting into one shared
+/// ConcurrentUnionFind. Connected components are independent of unite
+/// order, so the catalog is bit-identical to Serial at every grain.
+inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
+                                     const Periodicity& per,
+                                     const FofConfig& cfg) {
+  COSMO_REQUIRE(cfg.linking_length > 0.0, "linking length must be positive");
+  const std::size_t n = p.size();
+  if (n == 0) return {};
+
+  COSMO_TRACE_SPAN_CAT("halo.fof", "halo");
+  KdTree tree = [&] {
+    COSMO_TRACE_SPAN_CAT("halo.tree", "halo");
+    return KdTree::over_all(p, per, /*leaf_size=*/8, cfg.backend);
+  }();
+  ConcurrentUnionFind sets(n);
+  const double ll2 = cfg.linking_length * cfg.linking_length;
+  // The leaves in preorder; their ranges tile [0, n) in order.
+  std::vector<std::int32_t> leaves;
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(tree.node_count());
+       ++id)
+    if (tree.node(id).leaf()) leaves.push_back(id);
+
+  // Block blk links the leaves that begin in its range of tree positions.
+  auto first_leaf = [&](std::size_t pos) {
+    return static_cast<std::size_t>(
+        std::partition_point(leaves.begin(), leaves.end(),
+                             [&](std::int32_t id) {
+                               return tree.node(id).begin < pos;
+                             }) -
+        leaves.begin());
+  };
+  const dpp::detail::BlockDecomposition blocks(n, cfg.grain);
+  dpp::for_each_index(
+      cfg.backend, blocks.num_blocks,
+      [&](std::size_t blk) {
+        const std::size_t lo = first_leaf(blocks.lo(blk));
+        const std::size_t hi = first_leaf(blocks.hi(blk, n));
+        detail::fof_link_leaves(tree, ll2,
+                                std::span(leaves).subspan(lo, hi - lo), sets);
+      },
+      /*grain=*/1);
+
+  // Each particle's component, labelled by its smallest tree position.
+  std::vector<std::uint32_t> root(n);
+  const auto idx = tree.index();
+  for (std::uint32_t k = 0; k < n; ++k) root[idx[k]] = sets.find(k);
+  auto out = detail::group_halos(p, root, cfg.min_size);
   COSMO_COUNT("halo.fof_halos", out.size());
   COSMO_GAUGE_SET("halo.largest_halo_frac",
                   out.empty() ? 0.0
@@ -245,7 +269,7 @@ inline std::vector<FofHalo> fof_brute_force(const sim::ParticleSet& p,
                                             const Periodicity& per,
                                             const FofConfig& cfg) {
   const std::size_t n = p.size();
-  DisjointSets sets(n);
+  ConcurrentUnionFind sets(n);
   const double ll2 = cfg.linking_length * cfg.linking_length;
   auto fold = [&](double d, bool flag) {
     if (!flag) return d;
@@ -262,31 +286,7 @@ inline std::vector<FofHalo> fof_brute_force(const sim::ParticleSet& p,
     }
   std::vector<std::uint32_t> root(n);
   for (std::uint32_t i = 0; i < n; ++i) root[i] = sets.find(i);
-  std::vector<std::uint32_t> count(n, 0);
-  for (std::uint32_t i = 0; i < n; ++i) ++count[root[i]];
-  std::vector<std::int32_t> halo_of_root(n, -1);
-  std::vector<FofHalo> out;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t r = root[i];
-    if (count[r] < cfg.min_size) continue;
-    if (halo_of_root[r] < 0) {
-      halo_of_root[r] = static_cast<std::int32_t>(out.size());
-      out.emplace_back();
-      out.back().id = std::numeric_limits<std::int64_t>::max();
-    }
-    auto& h = out[static_cast<std::size_t>(halo_of_root[r])];
-    h.members.push_back(i);
-    if (p.tag[i] < h.id) {
-      h.id = p.tag[i];
-      h.min_tag_member = i;
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const FofHalo& a, const FofHalo& b) {
-    return a.members.size() != b.members.size()
-               ? a.members.size() > b.members.size()
-               : a.id < b.id;
-  });
-  return out;
+  return detail::group_halos(p, root, cfg.min_size);
 }
 
 /// Result of the distributed finder. Halos' member indices refer to

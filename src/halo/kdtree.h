@@ -1,10 +1,15 @@
 // Balanced k-d tree over particle positions.
 //
 // The workhorse of the FOF halo finder (§3.3.1): built once per rank over
-// the owned+overload particle set. Nodes are numbered in preorder and each
-// covers a contiguous range of index(), so the leaves in preorder tile
-// index() in ascending order. Two bounds drive every query, both from one
-// per-axis interval–interval bound (a point is a zero-width interval):
+// the owned+overload particle set. The tree keeps its own copy of the
+// positions, one Point {x, y, z, id} per particle in tree order: position k
+// holds the coordinates of the point whose id is index()[k]. It builds by
+// median selection over that copy, and every query and pair test reads
+// coordinates from it, a leaf's contiguously, never from the particle set.
+// Nodes are numbered in preorder and each covers a contiguous range of tree
+// positions, so the leaves in preorder tile [0, size()) in ascending order.
+// Two bounds drive every query, both from one per-axis interval–interval
+// bound (a point is a zero-width interval):
 // - box_dist2, point–node: range queries and k-nearest neighbours (the
 //   subhalo finder's density estimates);
 // - node_dist2, node–node: the per-leaf walks of the FOF linker, which
@@ -26,7 +31,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <span>
 #include <unordered_map>
@@ -50,54 +54,73 @@ struct Periodicity {
 
 class KdTree {
  public:
-  /// Builds over the subset `subset` of particles in `p` (or all of them if
-  /// subset is empty and use_all is true). On the ThreadPool backend the two
-  /// children of every node above kParallelBuildCutoff particles build as
-  /// concurrent pool tasks; node ids are assigned from a precomputed preorder
-  /// numbering (the tree shape is a pure function of size and leaf_size), so
-  /// the node array and index() layout are backend-invariant.
-  KdTree(const sim::ParticleSet& p, std::vector<std::uint32_t> subset,
-         const Periodicity& per = {}, std::size_t leaf_size = 8,
-         dpp::Backend backend = dpp::Backend::Serial)
-      : p_(&p),
-        per_(per),
+  /// One position of the tree's copy: coordinates and the caller's id.
+  struct Point {
+    float c[3];
+    std::uint32_t id;
+  };
+
+  /// Builds over caller-made points; index() then lists their ids in tree
+  /// order. On the ThreadPool backend the two children of every node above
+  /// kParallelBuildCutoff points build as concurrent pool tasks; node ids
+  /// are assigned from a precomputed preorder numbering (the tree shape is
+  /// a pure function of size and leaf_size), so the node array and index()
+  /// layout are backend-invariant.
+  explicit KdTree(std::vector<Point> points, const Periodicity& per = {},
+                  std::size_t leaf_size = 8,
+                  dpp::Backend backend = dpp::Backend::Serial)
+      : per_(per),
         leaf_size_(leaf_size),
         backend_(backend),
-        index_(std::move(subset)) {
+        points_(std::move(points)),
+        index_(points_.size()) {
     COSMO_REQUIRE(!(per.x || per.y || per.z) || per.box > 0.0,
                   "periodic tree needs a box size");
     COSMO_REQUIRE(leaf_size >= 1, "leaf size must be at least 1");
-    if (!index_.empty()) {
+    if (!points_.empty()) {
       // Memoises every subtree size reachable from n (≤ 2 new per level),
       // so build_at only reads the table — safe under concurrent builds.
-      nodes_.resize(count_subtree_nodes(index_.size()));
-      build_at(0, 0, index_.size());
+      nodes_.resize(count_subtree_nodes(points_.size()));
+      build_at(0, 0, points_.size());
       root_ = 0;
     }
   }
+
+  /// Builds over the particles of `p` listed in `subset`; their particle
+  /// indices are the ids.
+  KdTree(const sim::ParticleSet& p, std::span<const std::uint32_t> subset,
+         const Periodicity& per = {}, std::size_t leaf_size = 8,
+         dpp::Backend backend = dpp::Backend::Serial)
+      : KdTree(gather(p, subset.size(),
+                      [&](std::size_t k) { return subset[k]; }),
+               per, leaf_size, backend) {}
 
   /// Convenience: tree over all particles.
   static KdTree over_all(const sim::ParticleSet& p,
                          const Periodicity& per = {},
                          std::size_t leaf_size = 8,
                          dpp::Backend backend = dpp::Backend::Serial) {
-    std::vector<std::uint32_t> all(p.size());
-    std::iota(all.begin(), all.end(), 0u);
-    return KdTree(p, std::move(all), per, leaf_size, backend);
+    return KdTree(gather(p, p.size(),
+                         [](std::size_t k) {
+                           return static_cast<std::uint32_t>(k);
+                         }),
+                  per, leaf_size, backend);
   }
 
   /// Children of nodes at least this large build as concurrent pool tasks.
   static constexpr std::size_t kParallelBuildCutoff = 2048;
 
-  std::size_t size() const { return index_.size(); }
-  bool empty() const { return index_.empty(); }
+  std::size_t size() const { return points_.size(); }
+  bool empty() const { return points_.empty(); }
   std::size_t node_count() const { return nodes_.size(); }
-  /// The (reordered) particle indices; node ranges refer to this array.
+  /// The points' ids in tree order; node ranges refer to this array.
   std::span<const std::uint32_t> index() const { return index_; }
+  /// The tree's copy of the positions: points()[k].id == index()[k].
+  std::span<const Point> points() const { return points_; }
 
   struct Node {
-    float lo[3], hi[3];        ///< bounding box of the subtree's particles
-    std::uint32_t begin, end;  ///< range in index()
+    float lo[3], hi[3];        ///< bounding box of the subtree's points
+    std::uint32_t begin, end;  ///< range of tree positions
     std::int32_t left = -1, right = -1;
     bool leaf() const { return left < 0; }
     std::uint32_t count() const { return end - begin; }
@@ -108,7 +131,7 @@ class KdTree {
   }
   std::int32_t root() const { return root_; }
 
-  /// Calls fn(particle_index) for every particle within radius r of (qx,qy,qz).
+  /// Calls fn(id) for every point within radius r of (qx,qy,qz).
   template <typename Fn>
   void for_each_in_range(double qx, double qy, double qz, double r,
                          Fn&& fn) const {
@@ -140,10 +163,12 @@ class KdTree {
     dmax2 = dmax[0] * dmax[0] + dmax[1] * dmax[1] + dmax[2] * dmax[2];
   }
 
-  /// Squared distance between particles a and b under the periodicity.
+  /// Squared distance between the points at tree positions a and b under
+  /// the periodicity.
   double dist2(std::uint32_t a, std::uint32_t b) const {
-    return point_dist2(p_->x[a], p_->y[a], p_->z[a], p_->x[b], p_->y[b],
-                       p_->z[b]);
+    const Point& pa = points_[a];
+    const Point& pb = points_[b];
+    return point_dist2(pa.c[0], pa.c[1], pa.c[2], pb.c[0], pb.c[1], pb.c[2]);
   }
 
   double point_dist2(double ax, double ay, double az, double bx, double by,
@@ -154,14 +179,14 @@ class KdTree {
     return dx * dx + dy * dy + dz * dz;
   }
 
-  /// Indices of the k nearest neighbors of (qx,qy,qz) (possibly including a
-  /// particle at the query point itself), nearest first.
+  /// Ids of the k nearest neighbors of (qx,qy,qz) (possibly including a
+  /// point at the query point itself), nearest first; none for k = 0.
   std::vector<std::uint32_t> k_nearest(double qx, double qy, double qz,
                                        std::size_t k) const {
-    // Max-heap of (dist2, index) keeps the k best seen so far.
+    // Max-heap of (dist2, id) keeps the k best seen so far.
     using Entry = std::pair<double, std::uint32_t>;
     std::priority_queue<Entry> heap;
-    if (root_ >= 0) knn_recurse(root_, qx, qy, qz, k, heap);
+    if (root_ >= 0 && k > 0) knn_recurse(root_, qx, qy, qz, k, heap);
     std::vector<std::uint32_t> out(heap.size());
     for (std::size_t i = out.size(); i-- > 0;) {
       out[i] = heap.top().second;
@@ -172,6 +197,7 @@ class KdTree {
 
   /// Distance to the k-th nearest neighbor (used by SPH density kernels).
   double k_nearest_dist(double qx, double qy, double qz, std::size_t k) const {
+    COSMO_REQUIRE(k > 0, "k_nearest_dist needs k >= 1");
     using Entry = std::pair<double, std::uint32_t>;
     std::priority_queue<Entry> heap;
     if (root_ >= 0) knn_recurse(root_, qx, qy, qz, k, heap);
@@ -217,7 +243,19 @@ class KdTree {
     return d;
   }
 
-  /// Node count of a subtree over `count` particles — a pure function of
+  /// Points for the particles id(0), …, id(n − 1) of `p`.
+  template <typename Id>
+  static std::vector<Point> gather(const sim::ParticleSet& p, std::size_t n,
+                                   Id id) {
+    std::vector<Point> pts(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t i = id(k);
+      pts[k] = {{p.x[i], p.y[i], p.z[i]}, i};
+    }
+    return pts;
+  }
+
+  /// Node count of a subtree over `count` points — a pure function of
   /// (count, leaf_size) because the split point is always count/2.
   std::size_t count_subtree_nodes(std::size_t count) {
     const auto it = subtree_count_.find(count);
@@ -231,11 +269,11 @@ class KdTree {
     return total;
   }
 
-  /// Builds the subtree over index_[begin, end) at preorder slot `id`:
+  /// Builds the subtree over points_[begin, end) at preorder slot `id`:
   /// the left child lands at id+1, the right child after the whole left
   /// subtree — the same numbering a serial preorder push_back produces.
-  /// Sibling subtrees touch disjoint node and index_ ranges, so they can
-  /// build concurrently without synchronisation.
+  /// Sibling subtrees touch disjoint node, points_ and index_ ranges, so
+  /// they can build concurrently without synchronisation.
   void build_at(std::int32_t id, std::size_t begin, std::size_t end) {
     Node n;
     n.begin = static_cast<std::uint32_t>(begin);
@@ -245,15 +283,13 @@ class KdTree {
       n.lo[d] = std::numeric_limits<float>::max();
       n.hi[d] = std::numeric_limits<float>::lowest();
     }
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t pi = index_[i];
-      const float c[3] = {p_->x[pi], p_->y[pi], p_->z[pi]};
+    for (std::size_t i = begin; i < end; ++i)
       for (int d = 0; d < 3; ++d) {
-        n.lo[d] = std::min(n.lo[d], c[d]);
-        n.hi[d] = std::max(n.hi[d], c[d]);
+        n.lo[d] = std::min(n.lo[d], points_[i].c[d]);
+        n.hi[d] = std::max(n.hi[d], points_[i].c[d]);
       }
-    }
     if (end - begin <= leaf_size_) {
+      for (std::size_t i = begin; i < end; ++i) index_[i] = points_[i].id;
       nodes_[static_cast<std::size_t>(id)] = n;
       return;
     }
@@ -269,14 +305,11 @@ class KdTree {
       }
     }
     const std::size_t mid = begin + (end - begin) / 2;
-    auto coord = [&](std::uint32_t pi) {
-      return dim == 0 ? p_->x[pi] : dim == 1 ? p_->y[pi] : p_->z[pi];
-    };
-    std::nth_element(index_.begin() + static_cast<std::ptrdiff_t>(begin),
-                     index_.begin() + static_cast<std::ptrdiff_t>(mid),
-                     index_.begin() + static_cast<std::ptrdiff_t>(end),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return coord(a) < coord(b);
+    std::nth_element(points_.begin() + static_cast<std::ptrdiff_t>(begin),
+                     points_.begin() + static_cast<std::ptrdiff_t>(mid),
+                     points_.begin() + static_cast<std::ptrdiff_t>(end),
+                     [dim](const Point& a, const Point& b) {
+                       return a.c[dim] < b.c[dim];
                      });
     const std::int32_t l = id + 1;
     const std::int32_t r =
@@ -312,9 +345,9 @@ class KdTree {
     if (dmin2 > r2) return;
     if (n.leaf()) {
       for (std::uint32_t i = n.begin; i < n.end; ++i) {
-        const std::uint32_t pi = index_[i];
-        if (point_dist2(qx, qy, qz, p_->x[pi], p_->y[pi], p_->z[pi]) <= r2)
-          fn(pi);
+        const Point& pt = points_[i];
+        if (point_dist2(qx, qy, qz, pt.c[0], pt.c[1], pt.c[2]) <= r2)
+          fn(pt.id);
       }
       return;
     }
@@ -331,14 +364,13 @@ class KdTree {
     if (heap.size() == k && dmin2 > heap.top().first) return;
     if (n.leaf()) {
       for (std::uint32_t i = n.begin; i < n.end; ++i) {
-        const std::uint32_t pi = index_[i];
-        const double d2 =
-            point_dist2(qx, qy, qz, p_->x[pi], p_->y[pi], p_->z[pi]);
+        const Point& pt = points_[i];
+        const double d2 = point_dist2(qx, qy, qz, pt.c[0], pt.c[1], pt.c[2]);
         if (heap.size() < k) {
-          heap.emplace(d2, pi);
+          heap.emplace(d2, pt.id);
         } else if (d2 < heap.top().first) {
           heap.pop();
-          heap.emplace(d2, pi);
+          heap.emplace(d2, pt.id);
         }
       }
       return;
@@ -356,12 +388,12 @@ class KdTree {
     }
   }
 
-  const sim::ParticleSet* p_;
   Periodicity per_;
   std::size_t leaf_size_;
   dpp::Backend backend_ = dpp::Backend::Serial;
   /// Subtree size → node count, fully populated before build_at starts.
   std::unordered_map<std::size_t, std::size_t> subtree_count_;
+  std::vector<Point> points_;
   std::vector<std::uint32_t> index_;
   std::vector<Node> nodes_;
   std::int32_t root_ = -1;

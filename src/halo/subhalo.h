@@ -122,8 +122,7 @@ inline std::vector<double> local_densities(const sim::ParticleSet& p,
   }
 
   Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
-  KdTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()),
-              per);
+  KdTree tree(p, members, per);
   auto dist = [&](std::uint32_t a, std::uint32_t j) {
     return std::sqrt(
         tree.point_dist2(p.x[a], p.y[a], p.z[a], p.x[j], p.y[j], p.z[j]));
@@ -159,8 +158,7 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
   });
 
   Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
-  KdTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()),
-              per);
+  KdTree tree(p, members, per);
   // Map particle-set index -> member slot.
   std::vector<std::uint32_t> slot_of(p.size(), 0);
   for (std::size_t m = 0; m < n; ++m) slot_of[members[m]] = static_cast<std::uint32_t>(m);

@@ -117,6 +117,15 @@ TEST(BhTree, EmptyTreeIsSafe) {
   EXPECT_EQ(tree.count_in_range(0, 0, 0, 5.0), 0u);
 }
 
+TEST(BhTree, KNearestOfZeroIsEmpty) {
+  ParticleSet p = random_cloud(50, 15);
+  std::vector<std::uint32_t> all(p.size());
+  std::iota(all.begin(), all.end(), 0u);
+  halo::BhTree tree(p, all);
+  EXPECT_TRUE(tree.k_nearest(5, 5, 5, 0).empty());
+  EXPECT_TRUE(tree.k_nearest(p.x[0], p.y[0], p.z[0], 0).empty());
+}
+
 TEST(BhTree, DensityEnginesAgree) {
   // The subhalo SPH densities must be identical through either engine
   // (both find the exact same k nearest neighbors).

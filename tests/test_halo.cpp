@@ -122,6 +122,14 @@ TEST(KdTree, EmptyTreeIsSafe) {
   EXPECT_TRUE(tree.k_nearest(0, 0, 0, 3).empty());
 }
 
+TEST(KdTree, KNearestOfZeroIsEmpty) {
+  ParticleSet p = random_particles(50, 10.0, 10);
+  KdTree tree = KdTree::over_all(p);
+  EXPECT_TRUE(tree.k_nearest(5, 5, 5, 0).empty());
+  EXPECT_TRUE(tree.k_nearest(p.x[0], p.y[0], p.z[0], 0).empty());
+  EXPECT_THROW(tree.k_nearest_dist(5, 5, 5, 0), cosmo::Error);
+}
+
 TEST(KdTree, SubsetTreeOnlySeesSubset) {
   ParticleSet p = random_particles(100, 10.0, 9);
   std::vector<std::uint32_t> subset{1, 5, 9, 13};

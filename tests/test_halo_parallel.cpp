@@ -11,12 +11,14 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/comm.h"
@@ -32,6 +34,7 @@
 #include "stats/concentration.h"
 #include "stats/halo_shape.h"
 #include "stats/merger_tree.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace {
@@ -144,6 +147,103 @@ TEST(ParallelFof, MatchesBruteForce) {
   const auto brute_halos = fof_brute_force(p, Periodicity::all(box), cfg);
   ASSERT_EQ(tree_halos.size(), brute_halos.size());
   EXPECT_EQ(member_sets(tree_halos), member_sets(brute_halos));
+}
+
+// ------------------------------------------------- concurrent union-find --
+
+using Edges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Edges over [0, n): chains with gaps (deep trees, so the path-halving
+/// CASes of concurrent finds collide), random pairs, self-loops, and every
+/// edge a second time reversed, all shuffled.
+Edges random_edges(std::uint32_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Edges e;
+  for (std::uint32_t i = 0; i + 1 < n / 2; ++i)
+    if (rng.below(8) != 0) e.emplace_back(i + 1, i);
+  for (std::uint32_t k = 0; k < n / 3; ++k)
+    e.emplace_back(static_cast<std::uint32_t>(rng.below(n)),
+                   static_cast<std::uint32_t>(rng.below(n)));
+  for (int k = 0; k < 16; ++k) {
+    const auto v = static_cast<std::uint32_t>(rng.below(n));
+    e.emplace_back(v, v);
+  }
+  const std::size_t m = e.size();
+  for (std::size_t k = 0; k < m; ++k) e.emplace_back(e[k].second, e[k].first);
+  for (std::size_t i = e.size() - 1; i > 0; --i)
+    std::swap(e[i], e[rng.below(i + 1)]);
+  return e;
+}
+
+/// The union-find's partition is the edges' BFS components, and every find
+/// returns its component's smallest element.
+void expect_bfs_components(ConcurrentUnionFind& sets, std::uint32_t n,
+                           const Edges& edges) {
+  std::vector<std::vector<std::uint32_t>> adj(n);
+  for (const auto& [a, b] : edges) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+  }
+  // A BFS from each unlabelled element in ascending order starts at its
+  // component's smallest element.
+  constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> smallest(n, kNone);
+  std::vector<std::uint32_t> queue;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (smallest[s] != kNone) continue;
+    smallest[s] = s;
+    queue.assign(1, s);
+    for (std::size_t q = 0; q < queue.size(); ++q)
+      for (const std::uint32_t w : adj[queue[q]])
+        if (smallest[w] == kNone) {
+          smallest[w] = s;
+          queue.push_back(w);
+        }
+  }
+  for (std::uint32_t v = 0; v < n; ++v)
+    ASSERT_EQ(sets.find(v), smallest[v]) << "element " << v;
+}
+
+TEST(ConcurrentUnionFind, PoolChunksMatchBfsComponents) {
+  const std::uint32_t n = 20000;
+  for (const std::uint64_t seed : {1u, 2u, 3u})
+    for (const auto backend :
+         {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+      const Edges edges = random_edges(n, seed);
+      ConcurrentUnionFind sets(n);
+      dpp::for_each_index(
+          backend, edges.size(),
+          [&](std::size_t k) {
+            sets.unite(edges[k].first, edges[k].second);
+            // A find elsewhere halves paths while other chunks unite.
+            sets.find(edges[(k * 7919) % edges.size()].second);
+          },
+          /*grain=*/64);
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   dpp::to_string(backend));
+      expect_bfs_components(sets, n, edges);
+    }
+}
+
+TEST(ConcurrentUnionFind, FourSpmdRanksUniteAtOnce) {
+  // Four rank threads unite the whole edge list into one union-find at
+  // once, each from its own offset and through its own pool dispatch, so
+  // every edge is united four times and the ranks race on the same roots.
+  const std::uint32_t n = 20000;
+  const Edges edges = random_edges(n, 4);
+  ConcurrentUnionFind sets(n);
+  comm::run_spmd(4, [&](comm::Comm& c) {
+    const std::size_t m = edges.size();
+    const std::size_t offset = m / 4 * static_cast<std::size_t>(c.rank());
+    dpp::for_each_index(
+        dpp::Backend::ThreadPool, m,
+        [&](std::size_t k) {
+          const auto& [a, b] = edges[(k + offset) % m];
+          sets.unite(a, b);
+        },
+        /*grain=*/64);
+  });
+  expect_bfs_components(sets, n, edges);
 }
 
 // ------------------------------------------- exactness of the leaf linker --
@@ -419,6 +519,110 @@ TEST(ParallelKdTree, QueriesMatchSerialTree) {
     EXPECT_EQ(sa, sb) << "query " << q;
     EXPECT_EQ(serial.k_nearest(qx, qy, qz, 12), pooled.k_nearest(qx, qy, qz, 12));
   }
+}
+
+TEST(ParallelKdTree, PointsAreTheIndexedParticles) {
+  const double box = 8.0;
+  const ParticleSet p = random_particles(5000, box, 74);
+  std::vector<std::uint32_t> subset;
+  for (std::uint32_t i = 0; i < p.size(); i += 2) subset.push_back(i);
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+    const KdTree all =
+        KdTree::over_all(p, Periodicity::all(box), 8, backend);
+    const KdTree some(p, subset, Periodicity::all(box), 8, backend);
+    for (const KdTree* t : {&all, &some}) {
+      const auto idx = t->index();
+      const auto pts = t->points();
+      ASSERT_EQ(pts.size(), idx.size());
+      for (std::size_t k = 0; k < pts.size(); ++k) {
+        ASSERT_EQ(pts[k].id, idx[k]) << "position " << k;
+        ASSERT_EQ(pts[k].c[0], p.x[idx[k]]) << "position " << k;
+        ASSERT_EQ(pts[k].c[1], p.y[idx[k]]) << "position " << k;
+        ASSERT_EQ(pts[k].c[2], p.z[idx[k]]) << "position " << k;
+      }
+    }
+    // Caller-made points with ids of the caller's choosing: the same
+    // layout, the caller's ids in index().
+    std::vector<KdTree::Point> made(p.size());
+    for (std::uint32_t i = 0; i < p.size(); ++i)
+      made[i] = {{p.x[i], p.y[i], p.z[i]}, 3 * i + 1};
+    const KdTree mine(std::move(made), Periodicity::all(box), 8, backend);
+    ASSERT_EQ(mine.node_count(), all.node_count());
+    for (std::size_t k = 0; k < p.size(); ++k)
+      ASSERT_EQ(mine.index()[k], 3 * all.index()[k] + 1) << "position " << k;
+  }
+}
+
+/// CRC of a tree's whole layout: index(), then every node's range,
+/// children and box, field by field.
+std::uint32_t layout_crc(const KdTree& t) {
+  const auto idx = t.index();
+  std::uint32_t crc = crc32(idx.data(), idx.size() * sizeof(idx[0]));
+  for (std::size_t id = 0; id < t.node_count(); ++id) {
+    const auto& n = t.node(static_cast<std::int32_t>(id));
+    crc = crc32(&n.begin, sizeof(n.begin), crc);
+    crc = crc32(&n.end, sizeof(n.end), crc);
+    crc = crc32(&n.left, sizeof(n.left), crc);
+    crc = crc32(&n.right, sizeof(n.right), crc);
+    crc = crc32(n.lo, sizeof(n.lo), crc);
+    crc = crc32(n.hi, sizeof(n.hi), crc);
+  }
+  return crc;
+}
+
+/// Trees whose every median split meets exact ties: coordinates on a
+/// coarse lattice (many points share each split coordinate), coincident
+/// copies (zero-width leaves), and a permuted subset of a uniform cube.
+/// Each is above kParallelBuildCutoff, so the pool builds several levels.
+std::vector<KdTree> layout_trees(std::size_t leaf_size, dpp::Backend backend) {
+  constexpr double box = 4.0;
+  std::vector<KdTree> out;
+  Rng lattice_rng(70);
+  ParticleSet lattice;
+  for (int i = 0; i < 6000; ++i)
+    lattice.push_back(0.25f * static_cast<float>(lattice_rng.below(16)),
+                      0.25f * static_cast<float>(lattice_rng.below(16)),
+                      0.25f * static_cast<float>(lattice_rng.below(4)), 0, 0,
+                      0, i);
+  out.push_back(
+      KdTree::over_all(lattice, Periodicity::all(box), leaf_size, backend));
+  const ParticleSet base = random_particles(1500, box, 71);
+  ParticleSet copies;
+  for (std::size_t i = 0; i < base.size(); ++i)
+    for (std::size_t c = 0; c < 1 + i % 5; ++c)
+      copies.push_back(base.x[i], base.y[i], base.z[i], 0, 0, 0,
+                       static_cast<std::int64_t>(copies.size()));
+  out.push_back(
+      KdTree::over_all(copies, Periodicity::none(), leaf_size, backend));
+  const ParticleSet cube = random_particles(9000, box, 72);
+  std::vector<std::uint32_t> subset;
+  for (std::uint32_t i = 0; i < cube.size(); i += 1 + i % 3)
+    subset.push_back(i);
+  Rng shuffle_rng(73);
+  for (std::size_t i = subset.size() - 1; i > 0; --i)
+    std::swap(subset[i], subset[shuffle_rng.below(i + 1)]);
+  out.emplace_back(cube, subset, Periodicity::all(box), leaf_size, backend);
+  return out;
+}
+
+TEST(ParallelKdTree, LayoutMatchesGolden) {
+  // Recorded from the index-permuting build; a change means index() or a
+  // node moved, and with them every FOF walk and A* bound.
+  const std::map<std::size_t, std::uint32_t> golden = {{8, 0xd8f5a290u},
+                                                       {16, 0x65d9fe49u}};
+  for (const auto& [leaf_size, expected] : golden)
+    for (const auto backend :
+         {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+      std::uint32_t crc = 0;
+      for (const KdTree& t : layout_trees(leaf_size, backend)) {
+        ASSERT_GT(t.size(), KdTree::kParallelBuildCutoff);
+        const std::uint32_t c = layout_crc(t);
+        crc = crc32(&c, sizeof(c), crc);
+      }
+      EXPECT_EQ(crc, expected) << "leaf size " << leaf_size << ", "
+                               << dpp::to_string(backend) << std::hex
+                               << ": 0x" << crc;
+    }
 }
 
 // ------------------------------------------------------- per-halo fan-out --
@@ -804,6 +1008,23 @@ TEST(CertifiedAStar, MatchesBruteOnTheNfwMonsterAndPrunes) {
 TEST(CertifiedAStar, BoundsLessSlackNeverExceedPhi) {
   for (const auto& c : adversarial_cases()) expect_bounds_certified(c);
   expect_bounds_certified(nfw_monster_case());
+}
+
+TEST(CertifiedAStar, MonsterBoundsMatchGolden) {
+  // Recorded from the bound pass over a ParticleSet copy of the members;
+  // the bounds and the A*'s count of exact sums must keep those bits.
+  const CenterCase c = nfw_monster_case();
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+    const auto lb =
+        halo::detail::potential_bounds(backend, c.p, c.members, c.cfg);
+    const std::uint32_t crc = crc32(lb.data(), lb.size() * sizeof(lb[0]));
+    EXPECT_EQ(crc, 0xe95efa0au) << dpp::to_string(backend) << std::hex << ": 0x"
+                         << crc;
+    EXPECT_EQ(mbp_center_astar(backend, c.p, c.members, c.cfg)
+                  .exact_evaluations,
+              891u)
+        << dpp::to_string(backend);
+  }
 }
 
 TEST(CertifiedAStar, MatchesBruteOnEveryFofHaloOfAMonsterUniverse) {
