@@ -52,7 +52,6 @@ struct FftStats {
   double exchange_s = 0.0;        // fft.exchange span total (all ranks)
   std::uint64_t recv_wait_us = 0; // comm.recv_wait_us during the FFT phase
   std::uint64_t overlapped = 0;   // comm.a2a_blocks_overlapped
-  std::uint64_t payload_reuse = 0;
   std::uint32_t crc = 0;          // combined k-space CRC across ranks
 };
 
@@ -79,8 +78,6 @@ FftStats median_stats(const std::vector<FftStats>& runs) {
       field([](const FftStats& s) { return static_cast<double>(s.recv_wait_us); }));
   m.overlapped = static_cast<std::uint64_t>(
       field([](const FftStats& s) { return static_cast<double>(s.overlapped); }));
-  m.payload_reuse = static_cast<std::uint64_t>(field(
-      [](const FftStats& s) { return static_cast<double>(s.payload_reuse); }));
   m.crc = runs.front().crc;
   return m;
 }
@@ -163,8 +160,6 @@ FftStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
     s.recv_wait_us = reg.counter("comm.recv_wait_us").total();
   if (reg.has_counter("comm.a2a_blocks_overlapped"))
     s.overlapped = reg.counter("comm.a2a_blocks_overlapped").total();
-  if (reg.has_counter("comm.payload_reuse"))
-    s.payload_reuse = reg.counter("comm.payload_reuse").total();
   return s;
 }
 
@@ -187,12 +182,11 @@ int main(int argc, char** argv) {
   for (const auto& r : co_runs) bit_identical &= serial.crc == r.crc;
 
   TextTable t({"scenario", "wall (s)", "recv wait (ms)", "overlapped",
-               "exchange (s)", "reuse"});
+               "exchange (s)"});
   auto add = [&](const char* name, const FftStats& s) {
     t.add_row({name, TextTable::num(s.wall_s, 3),
                TextTable::num(static_cast<double>(s.recv_wait_us) / 1e3, 2),
-               std::to_string(s.overlapped), TextTable::num(s.exchange_s, 3),
-               std::to_string(s.payload_reuse)});
+               std::to_string(s.overlapped), TextTable::num(s.exchange_s, 3)});
   };
   add("serial", serial);
   add("pooled", pooled);

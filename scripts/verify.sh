@@ -35,12 +35,14 @@
 #                              pool) with -DCOSMO_TSAN=ON in build-tsan/ and
 #                              fails on any reported race.
 #   scripts/verify.sh --asan   AddressSanitizer + UBSan pass over the index
-#                              arithmetic: builds test_halo, test_halo_parallel
+#                              arithmetic: builds test_halo (k-d range and
+#                              kNN oracles, k = 0, subhalo densities across
+#                              the periodic seams), test_halo_parallel
 #                              (FOF leaf ranges over the tree's point copy,
-#                              k-d tree layout, A* bounds), test_bh_shape
-#                              (k-d and BH range/kNN oracles, k = 0),
-#                              test_robustness (FOF permutation invariance,
-#                              coincident and empty inputs), test_io,
+#                              k-d tree layout, A* bounds), test_halo_shape
+#                              (inertia-tensor shapes), test_robustness
+#                              (FOF permutation invariance, coincident and
+#                              empty inputs), test_io,
 #                              test_campaign (aggregated I/O, checkpoint
 #                              restart), test_faults and test_sim (the
 #                              synthetic generator's pre-sized particle
@@ -69,7 +71,7 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-asan}"
-  asan_tests=(test_halo test_halo_parallel test_bh_shape test_robustness
+  asan_tests=(test_halo test_halo_parallel test_halo_shape test_robustness
     test_io test_campaign test_faults test_sim)
   cmake -B "$build_dir" -S "$repo_root" -DCOSMO_ASAN=ON
   cmake --build "$build_dir" --target "${asan_tests[@]}" -j "$jobs"

@@ -112,41 +112,8 @@ class World {
   int size() const { return static_cast<int>(boxes_.size()); }
   detail::Mailbox& box(int rank) { return *boxes_[static_cast<std::size_t>(rank)]; }
 
-  /// Takes a payload buffer for an outgoing message, recycling a retired one
-  /// when available — every send used to heap-allocate a fresh vector, which
-  /// dominated small-message cost in the transpose-heavy phases. Reuses are
-  /// counted as comm.payload_reuse.
-  std::vector<std::byte> acquire_payload(std::size_t bytes) {
-    std::vector<std::byte> buf;
-    {
-      std::lock_guard lock(payload_mutex_);
-      if (!payload_pool_.empty()) {
-        buf = std::move(payload_pool_.back());
-        payload_pool_.pop_back();
-      }
-    }
-    if (buf.capacity() != 0) COSMO_COUNT("comm.payload_reuse", 1);
-    buf.resize(bytes);
-    return buf;
-  }
-
-  /// Returns a consumed message payload to the free-list. Oversized buffers
-  /// are dropped so the pool never pins more than
-  /// kMaxPooledPayloads × kMaxPooledPayloadBytes of idle memory.
-  void release_payload(std::vector<std::byte>&& buf) {
-    if (buf.capacity() == 0 || buf.capacity() > kMaxPooledPayloadBytes) return;
-    std::lock_guard lock(payload_mutex_);
-    if (payload_pool_.size() < kMaxPooledPayloads)
-      payload_pool_.push_back(std::move(buf));
-  }
-
  private:
-  static constexpr std::size_t kMaxPooledPayloads = 32;
-  static constexpr std::size_t kMaxPooledPayloadBytes = std::size_t{8} << 20;
-
   std::vector<std::unique_ptr<detail::Mailbox>> boxes_;
-  std::mutex payload_mutex_;
-  std::vector<std::vector<std::byte>> payload_pool_;
 };
 
 /// Reduction operators for reduce/allreduce/scan.
@@ -425,9 +392,8 @@ class Comm {
     detail::Message msg;
     msg.source = rank_;
     msg.tag = tag;
-    msg.payload = world_->acquire_payload(data.size_bytes());
-    if (!data.empty())
-      std::memcpy(msg.payload.data(), data.data(), data.size_bytes());
+    const auto bytes = std::as_bytes(data);
+    msg.payload.assign(bytes.begin(), bytes.end());
     world_->box(dest).put(std::move(msg));
   }
 
@@ -450,7 +416,6 @@ class Comm {
     std::vector<T> out(msg.payload.size() / sizeof(T));
     if (!out.empty())
       std::memcpy(out.data(), msg.payload.data(), msg.payload.size());
-    world_->release_payload(std::move(msg.payload));
     return out;
   }
 
@@ -596,7 +561,6 @@ class AlltoallvFlatSession {
     on_block(src,
              std::span<const T>(
                  reinterpret_cast<const T*>(msg.payload.data()), count));
-    comm_->world_->release_payload(std::move(msg.payload));
     --peers_remaining_;
   }
 

@@ -11,8 +11,8 @@
 //   * Every parallel_for creates a TaskGroup: the iteration space [0, n)
 //     cut into fixed-size chunks (`grain` items each), claimed dynamically
 //     through one atomic cursor. Dynamic chunking means a load-imbalanced
-//     kernel (subhalo finding, BH-tree sums, the one monster halo in the
-//     center finder) no longer pays the static one-chunk-per-worker split:
+//     kernel (subhalo finding, the one monster halo in the center
+//     finder) no longer pays the static one-chunk-per-worker split:
 //     fast workers just claim more chunks.
 //   * Grain 0 asks for the auto grain: a constant kChunksPerWorker chunks
 //     per worker, so a dispatch's chunking depends only on n and the pool

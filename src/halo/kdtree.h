@@ -28,7 +28,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -193,16 +192,6 @@ class KdTree {
       heap.pop();
     }
     return out;
-  }
-
-  /// Distance to the k-th nearest neighbor (used by SPH density kernels).
-  double k_nearest_dist(double qx, double qy, double qz, std::size_t k) const {
-    COSMO_REQUIRE(k > 0, "k_nearest_dist needs k >= 1");
-    using Entry = std::pair<double, std::uint32_t>;
-    std::priority_queue<Entry> heap;
-    if (root_ >= 0) knn_recurse(root_, qx, qy, qz, k, heap);
-    COSMO_REQUIRE(!heap.empty(), "k_nearest_dist on empty tree");
-    return std::sqrt(heap.top().first);
   }
 
  private:

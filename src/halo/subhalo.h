@@ -11,9 +11,17 @@
 // pruned by a multi-pass unbinding that removes at most one quarter of
 // the positive-energy particles per pass.
 //
-// Deliberately CPU-only and tree-based (the paper notes the subhalo finder
-// "does not take advantage of GPUs"), which is what makes it a second
-// load-imbalance driver for the workflow comparison.
+// The paper finds the neighbors on a Barnes-Hut tree. Here the periodic k-d
+// tree that FOF and the A* centre finder already use stands in for it:
+// k-nearest queries on either tree are exact, so the densities do not
+// depend on which tree answers them, and the k-d tree folds distances
+// across the periodic box, which a host straddling the box edge needs. One
+// tree is built per host, over the members' positions with member slots
+// as ids; the density pass and the linking sweep both query it.
+//
+// Deliberately CPU-only (the paper notes the subhalo finder "does not take
+// advantage of GPUs"), which is what makes it a second load-imbalance
+// driver for the workflow comparison.
 #pragma once
 
 #include <algorithm>
@@ -24,17 +32,10 @@
 #include <span>
 #include <vector>
 
-#include "dpp/primitives.h"
-#include "halo/bh_tree.h"
 #include "halo/kdtree.h"
 #include "sim/particles.h"
-#include "util/error.h"
 
 namespace cosmo::halo {
-
-/// Spatial search engine for the density estimate: the k-d tree, or the
-/// Barnes-Hut octree the paper names for this task (§3.3.1).
-enum class NeighborEngine { KdTree, BhTree };
 
 struct SubhaloConfig {
   std::size_t num_neighbors = 20;   ///< k for the SPH density estimate
@@ -44,16 +45,6 @@ struct SubhaloConfig {
   std::size_t unbind_passes = 8;    ///< max unbinding iterations
   double velocity_scale = 1.0;      ///< converts stored velocities to the
                                     ///< potential's energy units
-  NeighborEngine engine = NeighborEngine::KdTree;
-  /// Execution backend for the per-member density estimates (tree queries
-  /// are read-only, so members evaluate independently). ThreadPool shares
-  /// the work-stealing pool with co-scheduled ranks; Serial reproduces the
-  /// paper's CPU-only finder exactly as before.
-  dpp::Backend backend = dpp::Backend::Serial;
-  /// Members per scheduler chunk on the ThreadPool backend. Neighbor-query
-  /// cost varies with local clustering, so a modest grain lets stealing
-  /// even out the dense cores (0 = auto).
-  std::size_t density_grain = 64;
 };
 
 struct Subhalo {
@@ -77,63 +68,49 @@ inline double sph_kernel(double r, double h) {
 
 }  // namespace detail
 
-/// SPH local density for each member: kernel-weighted mass of the k nearest
-/// neighbors, with the smoothing length set to the k-th neighbor distance
-/// (the estimator the paper describes: "total mass of these particles and
-/// the distance to the furthest of these").
+/// The finder's one neighbor engine for a host: a k-d tree over the
+/// members' positions whose ids are member slots, so a k-nearest query
+/// returns slots. Equal distances break by slot, which is particle order
+/// when members ascend (as FOF and the Level 2 blocks list them).
+inline KdTree member_tree(const sim::ParticleSet& p,
+                          std::span<const std::uint32_t> members,
+                          const SubhaloConfig& cfg) {
+  std::vector<KdTree::Point> points(members.size());
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const std::uint32_t i = members[m];
+    points[m] = {{p.x[i], p.y[i], p.z[i]}, static_cast<std::uint32_t>(m)};
+  }
+  return KdTree(std::move(points),
+                cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{});
+}
+
+/// SPH local density for each member slot: kernel-weighted mass of the k
+/// nearest neighbors, with the smoothing length set to the k-th neighbor
+/// distance (the estimator the paper describes: "total mass of these
+/// particles and the distance to the furthest of these"). `tree` is
+/// member_tree(p, members, cfg).
 inline std::vector<double> local_densities(const sim::ParticleSet& p,
                                            std::span<const std::uint32_t> members,
+                                           const KdTree& tree,
                                            const SubhaloConfig& cfg) {
   const std::size_t k =
       std::min(cfg.num_neighbors + 1, members.size());  // +1: self
+  auto dist = [&](std::uint32_t a, std::uint32_t b) {
+    return std::sqrt(
+        tree.point_dist2(p.x[a], p.y[a], p.z[a], p.x[b], p.y[b], p.z[b]));
+  };
   std::vector<double> rho(members.size(), 0.0);
-
-  auto estimate = [&](std::size_t m, const std::vector<std::uint32_t>& nbrs,
-                      auto&& dist) {
+  for (std::size_t m = 0; m < members.size(); ++m) {
     const std::uint32_t i = members[m];
+    const auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], k);
     double h = 0.0;
-    for (const auto j : nbrs) h = std::max(h, dist(i, j));
+    for (const auto j : nbrs) h = std::max(h, dist(i, members[j]));
     if (h <= 0.0) h = 1e-10;
     double d = 0.0;
     for (const auto j : nbrs)
-      d += cfg.particle_mass * detail::sph_kernel(dist(i, j), h);
+      d += cfg.particle_mass * detail::sph_kernel(dist(i, members[j]), h);
     rho[m] = d;
-  };
-
-  if (cfg.engine == NeighborEngine::BhTree) {
-    // The Barnes-Hut octree path the paper describes. Non-periodic: a
-    // parent halo is compact, and the FOF pipeline hands members with
-    // unwrapped coordinates.
-    BhTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()));
-    auto dist = [&](std::uint32_t a, std::uint32_t j) {
-      const double dx = static_cast<double>(p.x[a]) - p.x[j];
-      const double dy = static_cast<double>(p.y[a]) - p.y[j];
-      const double dz = static_cast<double>(p.z[a]) - p.z[j];
-      return std::sqrt(dx * dx + dy * dy + dz * dz);
-    };
-    dpp::for_each_index(
-        cfg.backend, members.size(),
-        [&](std::size_t m) {
-          const std::uint32_t i = members[m];
-          estimate(m, tree.k_nearest(p.x[i], p.y[i], p.z[i], k), dist);
-        },
-        cfg.density_grain);
-    return rho;
   }
-
-  Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
-  KdTree tree(p, members, per);
-  auto dist = [&](std::uint32_t a, std::uint32_t j) {
-    return std::sqrt(
-        tree.point_dist2(p.x[a], p.y[a], p.z[a], p.x[j], p.y[j], p.z[j]));
-  };
-  dpp::for_each_index(
-      cfg.backend, members.size(),
-      [&](std::size_t m) {
-        const std::uint32_t i = members[m];
-        estimate(m, tree.k_nearest(p.x[i], p.y[i], p.z[i], k), dist);
-      },
-      cfg.density_grain);
   return rho;
 }
 
@@ -148,7 +125,8 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
   std::vector<Subhalo> out;
   if (n < cfg.min_size) return out;
 
-  const std::vector<double> rho = local_densities(p, members, cfg);
+  const KdTree tree = member_tree(p, members, cfg);
+  const std::vector<double> rho = local_densities(p, members, tree, cfg);
 
   // Sweep in decreasing density; link each particle to denser neighbors.
   std::vector<std::uint32_t> order(n);
@@ -156,12 +134,6 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
     return rho[a] != rho[b] ? rho[a] > rho[b] : a < b;
   });
-
-  Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
-  KdTree tree(p, members, per);
-  // Map particle-set index -> member slot.
-  std::vector<std::uint32_t> slot_of(p.size(), 0);
-  for (std::size_t m = 0; m < n; ++m) slot_of[members[m]] = static_cast<std::uint32_t>(m);
 
   // candidate_of[m] = current candidate id, or -1 if not yet swept.
   std::vector<std::int32_t> candidate_of(n, -1);
@@ -179,8 +151,7 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
     // already swept AND denser.
     auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], k_link + 1);
     std::int32_t c1 = -1, c2 = -1;
-    for (const auto j : nbrs) {
-      const std::uint32_t mj = slot_of[j];
+    for (const auto mj : nbrs) {
       if (mj == m || candidate_of[mj] < 0) continue;
       // Resolve to the candidate's current (possibly merged) root.
       std::int32_t c = candidate_of[mj];

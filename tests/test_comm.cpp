@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "comm/comm.h"
-#include "obs/obs.h"
 
 namespace {
 
@@ -352,31 +351,6 @@ TEST(Comm, SessionRejectsDoublePostAndEarlyFinish) {
     session.finish(sink);
   });
 }
-
-#ifndef COSMO_OBS_DISABLED
-TEST(Comm, PayloadPoolRecyclesBuffers) {
-  obs::MetricsRegistry::instance().reset();
-  // A ping-pong loop returns each payload to the world's free-list on
-  // receive; every send after the first few should pick a recycled buffer.
-  run_spmd(2, [&](Comm& c) {
-    const int peer = 1 - c.rank();
-    std::vector<double> buf(256, c.rank() + 0.5);
-    for (int i = 0; i < 50; ++i) {
-      if (c.rank() == 0) {
-        c.send(peer, 7, std::span<const double>(buf));
-        const auto back = c.recv<double>(peer, 7);
-        ASSERT_EQ(back.size(), buf.size());
-      } else {
-        const auto in = c.recv<double>(peer, 7);
-        c.send(peer, 7, std::span<const double>(in));
-      }
-    }
-  });
-  EXPECT_GT(
-      obs::MetricsRegistry::instance().counter("comm.payload_reuse").total(),
-      0u);
-}
-#endif
 
 TEST(Comm, UserTagsMustBeNonNegative) {
   run_spmd(1, [&](Comm& c) {

@@ -325,40 +325,6 @@ TEST(Shapes, AlgorithmFillsAxisRatios) {
   });
 }
 
-TEST(Subhalos, BhEngineConfigurable) {
-  sim::SyntheticConfig ucfg;
-  ucfg.box = 32.0;
-  ucfg.halo_count = 1;
-  ucfg.min_particles = 6000;
-  ucfg.max_particles = 6000;
-  ucfg.background_particles = 0;
-  ucfg.subclump_fraction = 0.2;
-  ucfg.subclump_min_host = 5000;
-  comm::run_spmd(1, [&](comm::Comm& c) {
-    sim::Cosmology cosmo;
-    auto u = sim::generate_synthetic(c, cosmo, ucfg);
-    sim::SlabDecomposition decomp(1, ucfg.box);
-    auto run_with = [&](const char* engine) {
-      auto local = u.local;
-      InSituAnalysisManager manager(c, decomp, ucfg.box, u.total_particles);
-      register_halo_pipeline(manager);
-      manager.configure(CosmoToolsConfig::parse(
-          std::string("[halofinder]\nlinking_length 0.35\nmin_size 100\n"
-                      "overload 3.0\n[centerfinder]\nthreshold 0\n"
-                      "[somass]\nenabled false\n"
-                      "[subhalos]\nmin_host 4000\nengine ") +
-          engine + "\n"));
-      sim::StepContext step{1, 1, 1.0, 0.0};
-      auto ctx = manager.execute_step(step, local);
-      std::uint32_t subs = 0;
-      for (const auto& rec : ctx.catalog) subs += rec.subhalos;
-      return subs;
-    };
-    EXPECT_EQ(run_with("kd"), run_with("bh"))
-        << "both engines must find the same substructure";
-  });
-}
-
 TEST(Concentration, AlgorithmFillsCatalogField) {
   sim::SyntheticConfig ucfg;
   ucfg.box = 32.0;

@@ -11,6 +11,7 @@
 
 #include "core/workflows.h"
 #include "obs/obs.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -272,6 +273,62 @@ TEST_F(WorkflowEnd2End, SubhalosReportedWhenEnabled) {
   std::uint32_t subs = 0;
   for (const auto& rec : r.catalog) subs += rec.subhalos;
   EXPECT_GT(subs, 0u) << "planted substructure not reported in catalog";
+}
+
+TEST(AnalysisConfig, InSituAndLevel2SubhalosAgree) {
+  // A host with a planted subclump whose members fly apart: unbinding
+  // strips the clump, so the subhalo count depends on the velocity scale.
+  // The in-situ algorithm (configured from analysis_config's [subhalos]
+  // section) and the Level 2 analysis must count the same.
+  WorkflowProblem p;
+  p.universe.box = 10.0;
+  p.linking_length = 0.5;
+  p.compute_so_mass = false;
+  p.compute_subhalos = true;
+  p.subhalo_min_host = 1000;
+  Rng rng(59);
+  sim::ParticleSet host;
+  for (int i = 0; i < 1500; ++i)
+    host.push_back(static_cast<float>(rng.normal(5.0, 0.5)),
+                   static_cast<float>(rng.normal(5.0, 0.5)),
+                   static_cast<float>(rng.normal(5.0, 0.5)), 0, 0, 0, i);
+  for (int i = 0; i < 120; ++i)
+    host.push_back(static_cast<float>(rng.normal(6.2, 0.05)),
+                   static_cast<float>(rng.normal(5.0, 0.05)),
+                   static_cast<float>(rng.normal(5.0, 0.05)),
+                   static_cast<float>(rng.normal(0.0, 1e4)),
+                   static_cast<float>(rng.normal(0.0, 1e4)),
+                   static_cast<float>(rng.normal(0.0, 1e4)), 10000 + i);
+  comm::run_spmd(1, [&](comm::Comm& c) {
+    halo::FofConfig fcfg;
+    fcfg.linking_length = p.linking_length;
+    fcfg.min_size = p.min_halo_size;
+    const auto fof = halo::fof_find(
+        host, halo::Periodicity::all(p.universe.box), fcfg);
+    ASSERT_EQ(fof.size(), 1u);
+    const auto& members = fof[0].members;
+    ASSERT_GT(members.size(), p.subhalo_min_host);
+
+    // The clump is found only with unbinding off.
+    halo::SubhaloConfig bound;
+    bound.box = p.universe.box;
+    bound.velocity_scale = 0.0;
+    halo::SubhaloConfig unbound = bound;
+    unbound.velocity_scale = halo::SubhaloConfig{}.velocity_scale;
+    ASSERT_LT(halo::find_subhalos(host, members, unbound).size(),
+              halo::find_subhalos(host, members, bound).size());
+
+    auto local = host;
+    const auto insitu =
+        core::detail::run_insitu_pipeline(c, p, 0, local, host.size());
+    ASSERT_EQ(insitu.catalog_part.size(), 1u);
+    std::vector<double> seconds;
+    const auto level2 = core::detail::analyze_level2(
+        c, p, dpp::Backend::Serial, {host.select(members)}, host.size(),
+        seconds);
+    ASSERT_EQ(level2.size(), 1u);
+    EXPECT_EQ(insitu.catalog_part[0].subhalos, level2[0].subhalos);
+  });
 }
 
 TEST(AnalysisConfig, DoublesRoundTripBitForBit) {
