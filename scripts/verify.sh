@@ -15,14 +15,16 @@
 #                              layer: builds test_dpp (scheduler + the
 #                              concurrent-dispatch/nesting/stealing stress
 #                              tests), test_comm (mailbox + incremental
-#                              all-to-all sessions + payload pool), test_fft
+#                              all-to-all sessions), test_fft
 #                              (pipelined transpose: concurrent
 #                              pack/exchange/unpack), test_faults (fault
 #                              injection on the comm/listener/staging hot
 #                              paths, including the coordinated-abort
 #                              collectives), test_halo_parallel (the
-#                              per-halo fan-out, parallel FOF linking into
-#                              one shared lock-free union-find, the
+#                              per-halo fan-out, the symmetric MBP kernel
+#                              run as one pool task per halo
+#                              (SymmetricMbpKernel.*), parallel FOF linking
+#                              into one shared lock-free union-find, the
 #                              union-find itself from pool chunks and from
 #                              four ranks at once, and the parallel k-d tree
 #                              build racing nested dispatches),
@@ -36,10 +38,13 @@
 #                              fails on any reported race.
 #   scripts/verify.sh --asan   AddressSanitizer + UBSan pass over the index
 #                              arithmetic: builds test_halo (k-d range and
-#                              kNN oracles, k = 0, subhalo densities across
-#                              the periodic seams), test_halo_parallel
+#                              kNN oracles, k = 0, subhalo densities and the
+#                              shared neighbour lists across the periodic
+#                              seams), test_halo_parallel
 #                              (FOF leaf ranges over the tree's point copy,
-#                              k-d tree layout, A* bounds), test_halo_shape
+#                              k-d tree layout, A* bounds, the symmetric MBP
+#                              kernel's blocks, transposed tiles and n mod 4
+#                              tails, SymmetricMbpKernel.*), test_halo_shape
 #                              (inertia-tensor shapes), test_robustness
 #                              (FOF permutation invariance, coincident and
 #                              empty inputs), test_io,

@@ -7,13 +7,14 @@
 // count alone; both return the same member, particle and φ bits, with ties
 // broken to the lowest member index:
 //
-//  * mbp_center_brute — the PISTON version: O(n²) data-parallel potential
-//                       evaluation + argmin, one source targeting both dpp
-//                       backends (the "GPU" path on ThreadPool). On a CPU
-//                       with AVX2 the potentials run four targets at a time
-//                       through one tile kernel whose lanes repeat
-//                       exact_potential's operations in its order, so φ is
-//                       bit-identical to the scalar sum on every host.
+//  * mbp_center_brute — the PISTON version: O(n²) potentials + argmin, each
+//                       pair once, one task per halo, parallel across
+//                       halos. On a CPU with AVX2 a symmetric tile kernel
+//                       computes each unordered pair's term once and
+//                       subtracts it from both members' sums, in
+//                       exact_potential's order, so φ is bit-identical to
+//                       the scalar sum on every host; elsewhere the pool
+//                       tabulates exact_potential.
 //  * mbp_center_astar — the paper's A* search (reported ~8x faster than
 //                       serial brute force), certified and pooled. One pool
 //                       dispatch bounds every member's φ from below: per
@@ -22,8 +23,8 @@
 //                       from the whole leaf into a far-field term the
 //                       leaf's targets share, and sums the near-field leaves
 //                       exactly from the tree's own copy of the positions,
-//                       16 bytes a member. Two more dispatches run the tile
-//                       kernel on lists of targets: a seed batch of the
+//                       16 bytes a member. Two more dispatches run the
+//                       target-list tile kernel: a seed batch of the
 //                       lowest bounds, then every member whose bound, less
 //                       δ, does not exceed the seeds' best φ. δ bounds the
 //                       rounding of both sums, so a skipped member's φ is
@@ -68,12 +69,13 @@ struct CenterResult {
 };
 
 /// Member count from which mbp_center runs the A* instead of brute force.
-/// ablation_center_finders measures the pooled A* against pooled brute
-/// force on the generator's NFW profile: level at about 3,000 members,
-/// 1.1–1.2× ahead at 4,000 and 1.8–1.9× at 8,000 (EXPERIMENTS.md,
-/// "Ablations"). The cut-off sits where the A* nearly halves the time;
-/// below it a halo keeps brute force's two pool dispatches, where the A*
-/// would make four to ten for a smaller saving.
+/// ablation_center_finders measures both on the generator's NFW profile.
+/// On one thread each, as the callers' per-halo fan-out runs brute force
+/// on a busy pool, the A* draws level at about 8,000 members
+/// (EXPERIMENTS.md, "cosmobench — each brute-force pair once"). Pooled on
+/// an idle pool it wins from about 3,000, but no workflow centres a lone
+/// brute-force-sized halo; below the cut-off a halo keeps brute force's one
+/// task, where the A* would make four to ten pool dispatches.
 inline constexpr std::size_t kAStarMinMembers = 8192;
 
 namespace detail {
@@ -116,14 +118,46 @@ __attribute__((target("avx2"))) inline __m256d fold_avx2(__m256d d,
                           _mm256_cmp_pd(d, neg_half, _CMP_LT_OQ));
 }
 
-/// The AVX2 tile kernel: phi[t] = exact_potential(p, members, targets[t],
-/// cfg) for every t, bit for bit, with targets any list of member indices.
-/// Each whole tile of four targets loads its targets once and streams every
-/// source from the particle set through `members`, so no per-halo copy is
-/// made. Lane l sums m = 0..n−1 in member order; at each of the tile's
-/// targets, in member order, the lanes whose self pair it is subtract a
-/// masked +0.0, an exact no-op. A short last tile falls back to
-/// exact_potential.
+/// A tile's broadcast constants. box 0 turns both of fold_avx2's selects
+/// into exact no-ops: fold()'s non-periodic case.
+struct TileFrame {
+  __m256d box, half, neg_half, eps;
+};
+
+__attribute__((target("avx2"))) inline TileFrame tile_frame(
+    const CenterConfig& cfg) {
+  const double box = cfg.box > 0.0 ? cfg.box : 0.0;
+  return {_mm256_set1_pd(box), _mm256_set1_pd(0.5 * box),
+          _mm256_set1_pd(-0.5 * box), _mm256_set1_pd(cfg.softening)};
+}
+
+/// Lane l: 1/(d + ε) between target l at (xi, yi, zi) and one source at
+/// (xj, yj, zj), in exact_potential's operations (fold, d² as x + y + z,
+/// sqrt, + ε, 1/…).
+__attribute__((target("avx2"))) inline __m256d terms_avx2(
+    __m256d xi, __m256d yi, __m256d zi, float xj, float yj, float zj,
+    const TileFrame& f) {
+  const __m256d dx = fold_avx2(_mm256_sub_pd(xi, _mm256_set1_pd(xj)), f.box,
+                               f.half, f.neg_half);
+  const __m256d dy = fold_avx2(_mm256_sub_pd(yi, _mm256_set1_pd(yj)), f.box,
+                               f.half, f.neg_half);
+  const __m256d dz = fold_avx2(_mm256_sub_pd(zi, _mm256_set1_pd(zj)), f.box,
+                               f.half, f.neg_half);
+  const __m256d d2 = _mm256_add_pd(
+      _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+      _mm256_mul_pd(dz, dz));
+  return _mm256_div_pd(_mm256_set1_pd(1.0),
+                       _mm256_add_pd(_mm256_sqrt_pd(d2), f.eps));
+}
+
+/// The target-list tile kernel, for the A*'s batches:
+/// phi[t] = exact_potential(p, members, targets[t], cfg) for every t, bit
+/// for bit, with targets any list of member indices. Each whole tile of
+/// four targets loads its targets once and streams every source from the
+/// particle set through `members`, so no per-halo copy is made. Lane l sums
+/// m = 0..n−1 in member order; at each of the tile's targets, in member
+/// order, the lanes whose self pair it is subtract a masked +0.0, an exact
+/// no-op. A short last tile falls back to exact_potential.
 __attribute__((target("avx2"))) inline void potentials_avx2(
     const sim::ParticleSet& p, std::span<const std::uint32_t> members,
     std::span<const std::uint32_t> targets, const CenterConfig& cfg,
@@ -132,13 +166,7 @@ __attribute__((target("avx2"))) inline void potentials_avx2(
   const float* px = p.x.data();
   const float* py = p.y.data();
   const float* pz = p.z.data();
-  // box 0 turns both selects into exact no-ops: fold()'s non-periodic case.
-  const double box_d = cfg.box > 0.0 ? cfg.box : 0.0;
-  const __m256d box = _mm256_set1_pd(box_d);
-  const __m256d half = _mm256_set1_pd(0.5 * box_d);
-  const __m256d neg_half = _mm256_set1_pd(-0.5 * box_d);
-  const __m256d eps = _mm256_set1_pd(cfg.softening);
-  const __m256d one = _mm256_set1_pd(1.0);
+  const TileFrame f = tile_frame(cfg);
   std::size_t t0 = 0;
   for (; t0 + 4 <= targets.size(); t0 += 4) {
     const std::uint32_t* k = targets.data() + t0;
@@ -156,17 +184,7 @@ __attribute__((target("avx2"))) inline void potentials_avx2(
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t m = 0; m < n; ++m) {
       const std::uint32_t j = members[m];
-      const __m256d dx = fold_avx2(
-          _mm256_sub_pd(xi, _mm256_set1_pd(px[j])), box, half, neg_half);
-      const __m256d dy = fold_avx2(
-          _mm256_sub_pd(yi, _mm256_set1_pd(py[j])), box, half, neg_half);
-      const __m256d dz = fold_avx2(
-          _mm256_sub_pd(zi, _mm256_set1_pd(pz[j])), box, half, neg_half);
-      const __m256d d2 = _mm256_add_pd(
-          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-          _mm256_mul_pd(dz, dz));
-      __m256d term = _mm256_div_pd(
-          one, _mm256_add_pd(_mm256_sqrt_pd(d2), eps));
+      __m256d term = terms_avx2(xi, yi, zi, px[j], py[j], pz[j], f);
       if (m == stops[next]) {  // m is one of this tile's own targets
         term = _mm256_andnot_pd(
             _mm256_castsi256_pd(_mm256_cmpeq_epi64(
@@ -181,9 +199,87 @@ __attribute__((target("avx2"))) inline void potentials_avx2(
   for (; t0 < targets.size(); ++t0)
     phi[t0] = exact_potential(p, members, targets[t0], cfg);
 }
+
+/// The symmetric tile kernel: phi[k] = exact_potential(p, members, k, cfg)
+/// for every member k, bit for bit, with each unordered pair's term
+/// computed once. Members form blocks of four in member order. Block b's
+/// lanes start from phi[b..b+3], which by then holds the transposed tiles
+/// of every earlier block; they subtract the diagonal tile with each self
+/// term masked to +0.0, then each later block's tile column by column in
+/// member order, whose transpose goes to that block's phi in the same
+/// order; then the n mod 4 tail sources, in order. So every φ[k] is summed
+/// over m = 0..n−1 in member order, as exact_potential sums it, and the
+/// term of (m, k) is the same bits as that of (k, m): rounding to nearest
+/// gives fl(a − b) = −fl(b − a), and fold is odd. The tail targets run
+/// exact_potential. Positions are read through `members` from the particle
+/// set: nothing is copied per halo.
+__attribute__((target("avx2"))) inline void potentials_symmetric_avx2(
+    const sim::ParticleSet& p, std::span<const std::uint32_t> members,
+    const CenterConfig& cfg, std::span<double> phi) {
+  const std::size_t n = members.size();
+  const std::size_t whole = n - n % 4;  // members in whole blocks
+  const float* px = p.x.data();
+  const float* py = p.y.data();
+  const float* pz = p.z.data();
+  const TileFrame f = tile_frame(cfg);
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  std::fill(phi.begin(), phi.begin() + static_cast<std::ptrdiff_t>(whole),
+            0.0);
+  for (std::size_t b = 0; b < whole; b += 4) {
+    const std::uint32_t* i = members.data() + b;
+    const __m256d xi = _mm256_setr_pd(px[i[0]], px[i[1]], px[i[2]], px[i[3]]);
+    const __m256d yi = _mm256_setr_pd(py[i[0]], py[i[1]], py[i[2]], py[i[3]]);
+    const __m256d zi = _mm256_setr_pd(pz[i[0]], pz[i[1]], pz[i[2]], pz[i[3]]);
+    __m256d acc = _mm256_loadu_pd(phi.data() + b);
+    for (long long s = 0; s < 4; ++s) {  // source b + s is lane s's own
+      const std::uint32_t j = i[s];
+      const __m256d self = _mm256_castsi256_pd(
+          _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(s)));
+      acc = _mm256_sub_pd(
+          acc, _mm256_andnot_pd(
+                   self, terms_avx2(xi, yi, zi, px[j], py[j], pz[j], f)));
+    }
+    for (std::size_t c = b + 4; c < whole; c += 4) {
+      const std::uint32_t* j = members.data() + c;
+      // Lane l of t0..t3: the term of target b + l and source c + 0..3.
+      const __m256d t0 =
+          terms_avx2(xi, yi, zi, px[j[0]], py[j[0]], pz[j[0]], f);
+      const __m256d t1 =
+          terms_avx2(xi, yi, zi, px[j[1]], py[j[1]], pz[j[1]], f);
+      const __m256d t2 =
+          terms_avx2(xi, yi, zi, px[j[2]], py[j[2]], pz[j[2]], f);
+      const __m256d t3 =
+          terms_avx2(xi, yi, zi, px[j[3]], py[j[3]], pz[j[3]], f);
+      acc = _mm256_sub_pd(acc, t0);
+      acc = _mm256_sub_pd(acc, t1);
+      acc = _mm256_sub_pd(acc, t2);
+      acc = _mm256_sub_pd(acc, t3);
+      // The transpose, one row per source b + l in order: lane s holds
+      // the term of target c + s and source b + l.
+      const __m256d lo01 = _mm256_unpacklo_pd(t0, t1);
+      const __m256d hi01 = _mm256_unpackhi_pd(t0, t1);
+      const __m256d lo23 = _mm256_unpacklo_pd(t2, t3);
+      const __m256d hi23 = _mm256_unpackhi_pd(t2, t3);
+      __m256d col = _mm256_loadu_pd(phi.data() + c);
+      col = _mm256_sub_pd(col, _mm256_permute2f128_pd(lo01, lo23, 0x20));
+      col = _mm256_sub_pd(col, _mm256_permute2f128_pd(hi01, hi23, 0x20));
+      col = _mm256_sub_pd(col, _mm256_permute2f128_pd(lo01, lo23, 0x31));
+      col = _mm256_sub_pd(col, _mm256_permute2f128_pd(hi01, hi23, 0x31));
+      _mm256_storeu_pd(phi.data() + c, col);
+    }
+    for (std::size_t m = whole; m < n; ++m) {
+      const std::uint32_t j = members[m];
+      acc = _mm256_sub_pd(acc,
+                          terms_avx2(xi, yi, zi, px[j], py[j], pz[j], f));
+    }
+    _mm256_storeu_pd(phi.data() + b, acc);
+  }
+  for (std::size_t k = whole; k < n; ++k)
+    phi[k] = exact_potential(p, members, k, cfg);
+}
 #endif
 
-/// True when potentials() may take the AVX2 tile kernel; decided once.
+/// True when potentials() may take the AVX2 tile kernels; decided once.
 inline bool has_avx2() {
 #ifdef COSMO_CENTER_AVX2
   static const bool yes = [] {
@@ -196,7 +292,8 @@ inline bool has_avx2() {
 #endif
 }
 
-/// φ of each listed member (phi[t] for targets[t]), elementwise: on the
+/// φ of each listed member (phi[t] for targets[t]), elementwise: the A*'s
+/// seed and sweep batches, and every member on a host without AVX2. On the
 /// AVX2 host in tiles of four targets, elsewhere one exact_potential per
 /// target. A chunk holds four tiles (16 targets) so small halos amortize
 /// their dispatch, and one tile from 8192 members up so the pool spreads a
@@ -233,11 +330,22 @@ inline std::vector<double> potentials(dpp::Backend backend,
   return phi;
 }
 
-/// φ of every member.
+/// φ of every member. On the AVX2 host the symmetric tile kernel runs on
+/// the calling thread: a halo's sums are sequential, so its parallelism is
+/// the per-halo fan-out of its callers (CenterFinderAlgorithm::Execute and
+/// analyze_level2 run one pool task per halo, largest first). Elsewhere the
+/// pool tabulates exact_potential.
 inline std::vector<double> potentials(dpp::Backend backend,
                                       const sim::ParticleSet& p,
                                       std::span<const std::uint32_t> members,
                                       const CenterConfig& cfg) {
+#ifdef COSMO_CENTER_AVX2
+  if (has_avx2()) {
+    std::vector<double> phi(members.size());
+    potentials_symmetric_avx2(p, members, cfg, phi);
+    return phi;
+  }
+#endif
   std::vector<std::uint32_t> all(members.size());
   std::iota(all.begin(), all.end(), 0u);
   return potentials(backend, p, members, all, cfg);
@@ -344,10 +452,11 @@ inline constexpr std::size_t kAStarSeeds = 16;
 
 }  // namespace detail
 
-/// Brute-force O(n²) MBP center — the PISTON/data-parallel implementation.
-/// Potentials for all members are computed in parallel on the chosen
-/// backend; the minimum is taken with a deterministic tie-break (lowest
-/// member index, i.e. the order in `members`).
+/// Brute-force O(n²) MBP center — the PISTON implementation: every
+/// member's potential (detail::potentials: each pair once on the calling
+/// thread on an AVX2 host, a pooled tabulate elsewhere), then the minimum
+/// with a deterministic tie-break (lowest member index, i.e. the order in
+/// `members`).
 inline CenterResult mbp_center_brute(dpp::Backend backend,
                                      const sim::ParticleSet& p,
                                      std::span<const std::uint32_t> members,

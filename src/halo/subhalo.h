@@ -17,7 +17,8 @@
 // depend on which tree answers them, and the k-d tree folds distances
 // across the periodic box, which a host straddling the box edge needs. One
 // tree is built per host, over the members' positions with member slots
-// as ids; the density pass and the linking sweep both query it.
+// as ids; one k-nearest query per member finds the neighbour lists that
+// the density pass and the linking sweep both read.
 //
 // Deliberately CPU-only (the paper notes the subhalo finder "does not take
 // advantage of GPUs"), which is what makes it a second load-imbalance
@@ -84,17 +85,45 @@ inline KdTree member_tree(const sim::ParticleSet& p,
                 cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{});
 }
 
+/// Each member slot's min(k + 1, n) nearest neighbours on a member_tree,
+/// itself included, nearest first (k = cfg.num_neighbors): row m of one
+/// flat array, 4·(k + 1) bytes a member. The density pass and the linking
+/// sweep both read these rows, so each list is found once.
+struct NeighborLists {
+  std::size_t width = 0;             ///< slots per row
+  std::vector<std::uint32_t> slots;  ///< n rows of `width` member slots
+
+  std::span<const std::uint32_t> row(std::size_t m) const {
+    return std::span(slots).subspan(m * width, width);
+  }
+};
+
+inline NeighborLists nearest_neighbors(const sim::ParticleSet& p,
+                                       std::span<const std::uint32_t> members,
+                                       const KdTree& tree,
+                                       const SubhaloConfig& cfg) {
+  NeighborLists out;
+  out.width = std::min(cfg.num_neighbors + 1, members.size());
+  out.slots.resize(members.size() * out.width);
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const std::uint32_t i = members[m];
+    const auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], out.width);
+    std::copy(nbrs.begin(), nbrs.end(),
+              out.slots.begin() + static_cast<std::ptrdiff_t>(m * out.width));
+  }
+  return out;
+}
+
 /// SPH local density for each member slot: kernel-weighted mass of the k
 /// nearest neighbors, with the smoothing length set to the k-th neighbor
 /// distance (the estimator the paper describes: "total mass of these
-/// particles and the distance to the furthest of these"). `tree` is
-/// member_tree(p, members, cfg).
+/// particles and the distance to the furthest of these"). `tree` is the
+/// member_tree(p, members, cfg) that `nbrs` was found on.
 inline std::vector<double> local_densities(const sim::ParticleSet& p,
                                            std::span<const std::uint32_t> members,
                                            const KdTree& tree,
+                                           const NeighborLists& nbrs,
                                            const SubhaloConfig& cfg) {
-  const std::size_t k =
-      std::min(cfg.num_neighbors + 1, members.size());  // +1: self
   auto dist = [&](std::uint32_t a, std::uint32_t b) {
     return std::sqrt(
         tree.point_dist2(p.x[a], p.y[a], p.z[a], p.x[b], p.y[b], p.z[b]));
@@ -102,16 +131,24 @@ inline std::vector<double> local_densities(const sim::ParticleSet& p,
   std::vector<double> rho(members.size(), 0.0);
   for (std::size_t m = 0; m < members.size(); ++m) {
     const std::uint32_t i = members[m];
-    const auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], k);
     double h = 0.0;
-    for (const auto j : nbrs) h = std::max(h, dist(i, members[j]));
+    for (const auto j : nbrs.row(m)) h = std::max(h, dist(i, members[j]));
     if (h <= 0.0) h = 1e-10;
     double d = 0.0;
-    for (const auto j : nbrs)
+    for (const auto j : nbrs.row(m))
       d += cfg.particle_mass * detail::sph_kernel(dist(i, members[j]), h);
     rho[m] = d;
   }
   return rho;
+}
+
+/// The same densities, finding the neighbour lists on `tree` first.
+inline std::vector<double> local_densities(const sim::ParticleSet& p,
+                                           std::span<const std::uint32_t> members,
+                                           const KdTree& tree,
+                                           const SubhaloConfig& cfg) {
+  return local_densities(p, members, tree,
+                         nearest_neighbors(p, members, tree, cfg), cfg);
 }
 
 inline void unbind(const sim::ParticleSet& p, Subhalo& s,
@@ -126,7 +163,8 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
   if (n < cfg.min_size) return out;
 
   const KdTree tree = member_tree(p, members, cfg);
-  const std::vector<double> rho = local_densities(p, members, tree, cfg);
+  const NeighborLists nbrs = nearest_neighbors(p, members, tree, cfg);
+  const std::vector<double> rho = local_densities(p, members, tree, nbrs, cfg);
 
   // Sweep in decreasing density; link each particle to denser neighbors.
   std::vector<std::uint32_t> order(n);
@@ -144,14 +182,11 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
   };
   std::vector<Candidate> cands;
 
-  const std::size_t k_link = std::min<std::size_t>(cfg.num_neighbors, n);
   for (const auto m : order) {
-    const std::uint32_t i = members[m];
     // Among this particle's nearest neighbors, collect candidates of those
     // already swept AND denser.
-    auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], k_link + 1);
     std::int32_t c1 = -1, c2 = -1;
-    for (const auto mj : nbrs) {
+    for (const auto mj : nbrs.row(m)) {
       if (mj == m || candidate_of[mj] < 0) continue;
       // Resolve to the candidate's current (possibly merged) root.
       std::int32_t c = candidate_of[mj];

@@ -1,8 +1,9 @@
 // Backend bit-identity tests for the parallel halo-analysis chain: FOF
 // linking blocks, the parallel k-d tree build, the per-halo property
 // fan-out in the core pipeline, the property kernels themselves, the
-// AVX2 tile kernel of the MBP center finder against the scalar sum, and
-// the certified A* center finder against brute force.
+// MBP center finder's AVX2 tile kernels (target lists, and the symmetric
+// all-members kernel) against the scalar sum, and the certified A* center
+// finder against brute force.
 // Everything here asserts EXACT equality between Serial and ThreadPool —
 // the dpp contract — not tolerance-based agreement.
 #include <gtest/gtest.h>
@@ -928,6 +929,85 @@ TEST(MbpTileKernel, MonsterHaloSerialEqualsPoolEqualsReference) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(r.potential),
               std::bit_cast<std::uint64_t>(ref[best]))
         << dpp::to_string(backend);
+  }
+}
+
+// ------------------------------------------- symmetric all-members φ --
+
+/// Every member's φ, not just the argmin's, bit for bit against the scalar
+/// exact_potential: through detail::potentials and through fill_potentials
+/// (which stores φ as float), on both backends. On an AVX2 host both take
+/// the symmetric tile kernel, which computes each pair's term once for its
+/// two members; elsewhere the pooled exact_potential tabulate.
+void expect_every_phi_exact(const CenterCase& c) {
+  const std::size_t n = c.members.size();
+  std::vector<double> ref(n);
+  dpp::tabulate<double>(dpp::Backend::ThreadPool, ref, [&](std::size_t k) {
+    return halo::detail::exact_potential(c.p, c.members, k, c.cfg);
+  });
+  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+    const std::string where = c.name + " (n " + std::to_string(n) + ", " +
+                              dpp::to_string(backend) + ")";
+    const auto phi = halo::detail::potentials(backend, c.p, c.members, c.cfg);
+    ASSERT_EQ(phi.size(), n) << where;
+    for (std::size_t k = 0; k < n; ++k)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(phi[k]),
+                std::bit_cast<std::uint64_t>(ref[k]))
+          << where << ": member " << k << ", potentials " << phi[k]
+          << " vs scalar " << ref[k];
+    ParticleSet filled = c.p;
+    fill_potentials(backend, filled, c.members, c.cfg);
+    for (std::size_t k = 0; k < n; ++k)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(filled.phi[c.members[k]]),
+                std::bit_cast<std::uint32_t>(static_cast<float>(ref[k])))
+          << where << ": member " << k << ", fill_potentials "
+          << filled.phi[c.members[k]] << " vs scalar " << ref[k];
+  }
+}
+
+TEST(SymmetricMbpKernel, EveryPhiBitwiseForEveryRemainder) {
+  for (const auto& c : remainder_cases()) expect_every_phi_exact(c);
+}
+
+TEST(SymmetricMbpKernel, EveryPhiBitwiseAcrossThePeriodicSeam) {
+  for (const auto& c : seam_cases()) expect_every_phi_exact(c);
+}
+
+TEST(SymmetricMbpKernel, EveryPhiBitwiseWithCoincidentParticles) {
+  for (const auto& c : coincident_cases()) expect_every_phi_exact(c);
+}
+
+TEST(SymmetricMbpKernel, EveryPhiBitwiseOnPermutedSubset) {
+  expect_every_phi_exact(permuted_subset_case());
+}
+
+TEST(SymmetricMbpKernel, EveryPhiBitwiseOnTheNfwMonster) {
+  expect_every_phi_exact(nfw_monster_case());
+}
+
+TEST(SymmetricMbpKernel, OneTaskPerHaloOnThePool) {
+  // The centring call sites' shape: one pool task per halo, each running
+  // its halo's sums on its own thread, all reading shared particle sets.
+  const std::vector<CenterCase> cases = adversarial_cases();
+  std::vector<std::vector<double>> pooled(cases.size());
+  dpp::for_each_index(
+      dpp::Backend::ThreadPool, cases.size(),
+      [&](std::size_t h) {
+        pooled[h] = halo::detail::potentials(dpp::Backend::ThreadPool,
+                                             cases[h].p, cases[h].members,
+                                             cases[h].cfg);
+      },
+      /*grain=*/1);
+  for (std::size_t h = 0; h < cases.size(); ++h) {
+    const auto& c = cases[h];
+    ASSERT_EQ(pooled[h].size(), c.members.size()) << c.name;
+    for (std::size_t k = 0; k < c.members.size(); ++k) {
+      const double ref =
+          halo::detail::exact_potential(c.p, c.members, k, c.cfg);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pooled[h][k]),
+                std::bit_cast<std::uint64_t>(ref))
+          << c.name << ": member " << k;
+    }
   }
 }
 
