@@ -24,8 +24,11 @@
 #                              per-halo fan-out, the symmetric MBP kernel
 #                              run as one pool task per halo
 #                              (SymmetricMbpKernel.*), parallel FOF linking
-#                              into one shared lock-free union-find, the
-#                              union-find itself from pool chunks and from
+#                              into one shared lock-free union-find on
+#                              16-point leaves, with leaf pairs in AVX2
+#                              lanes (ExactFof.SizesAroundTheLeafSize,
+#                              ExactFof.LaneBodyMatchesScalarBodyOnEveryLeafPair),
+#                              the union-find itself from pool chunks and from
 #                              four ranks at once, and the parallel k-d tree
 #                              build racing nested dispatches),
 #                              test_workflows (the staging
@@ -42,6 +45,10 @@
 #                              shared neighbour lists across the periodic
 #                              seams), test_halo_parallel
 #                              (FOF leaf ranges over the tree's point copy,
+#                              the lane body's padded groups and masks on
+#                              leaves around 16 points,
+#                              ExactFof.SizesAroundTheLeafSize and
+#                              ExactFof.LaneBodyMatchesScalarBodyOnEveryLeafPair,
 #                              k-d tree layout, A* bounds, the symmetric MBP
 #                              kernel's blocks, transposed tiles and n mod 4
 #                              tails, SymmetricMbpKernel.*), test_halo_shape

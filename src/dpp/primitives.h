@@ -158,8 +158,7 @@ T reduce(Backend b, std::span<const T> in, T init = T{}) {
 }
 
 /// Index of the minimum of fn(i) over [0, n); ties break to the lowest
-/// index so results are backend-independent. This is the key primitive for
-/// the MBP center finder (argmin of potential). `grain` follows the cost of
+/// index so results are backend-independent. `grain` follows the cost of
 /// fn: pass a small grain when single evaluations are expensive.
 template <typename Fn>
 std::size_t argmin(Backend b, std::size_t n, Fn fn, std::size_t grain = 0) {

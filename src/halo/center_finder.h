@@ -49,11 +49,6 @@
 #include "sim/particles.h"
 #include "util/error.h"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define COSMO_CENTER_AVX2 1
-#endif
-
 namespace cosmo::halo {
 
 struct CenterConfig {
@@ -106,18 +101,7 @@ inline double exact_potential(const sim::ParticleSet& p,
   return phi;
 }
 
-#ifdef COSMO_CENTER_AVX2
-/// fold() on four lanes, as two selects in fold()'s order.
-__attribute__((target("avx2"))) inline __m256d fold_avx2(__m256d d,
-                                                         __m256d box,
-                                                         __m256d half,
-                                                         __m256d neg_half) {
-  d = _mm256_blendv_pd(d, _mm256_sub_pd(d, box),
-                       _mm256_cmp_pd(d, half, _CMP_GT_OQ));
-  return _mm256_blendv_pd(d, _mm256_add_pd(d, box),
-                          _mm256_cmp_pd(d, neg_half, _CMP_LT_OQ));
-}
-
+#ifdef COSMO_HALO_AVX2
 /// A tile's broadcast constants. box 0 turns both of fold_avx2's selects
 /// into exact no-ops: fold()'s non-periodic case.
 struct TileFrame {
@@ -279,19 +263,6 @@ __attribute__((target("avx2"))) inline void potentials_symmetric_avx2(
 }
 #endif
 
-/// True when potentials() may take the AVX2 tile kernels; decided once.
-inline bool has_avx2() {
-#ifdef COSMO_CENTER_AVX2
-  static const bool yes = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return yes;
-#else
-  return false;
-#endif
-}
-
 /// φ of each listed member (phi[t] for targets[t]), elementwise: the A*'s
 /// seed and sweep batches, and every member on a host without AVX2. On the
 /// AVX2 host in tiles of four targets, elsewhere one exact_potential per
@@ -308,7 +279,7 @@ inline std::vector<double> potentials(dpp::Backend backend,
   const std::size_t count = targets.size();
   const std::size_t tiles_per_chunk = n >= 8192 ? 1 : 4;
   std::vector<double> phi(count);
-#ifdef COSMO_CENTER_AVX2
+#ifdef COSMO_HALO_AVX2
   if (has_avx2()) {
     dpp::for_each_chunk(
         backend, (count + 3) / 4,
@@ -339,7 +310,7 @@ inline std::vector<double> potentials(dpp::Backend backend,
                                       const sim::ParticleSet& p,
                                       std::span<const std::uint32_t> members,
                                       const CenterConfig& cfg) {
-#ifdef COSMO_CENTER_AVX2
+#ifdef COSMO_HALO_AVX2
   if (has_avx2()) {
     std::vector<double> phi(members.size());
     potentials_symmetric_avx2(p, members, cfg, phi);
@@ -454,9 +425,9 @@ inline constexpr std::size_t kAStarSeeds = 16;
 
 /// Brute-force O(n²) MBP center — the PISTON implementation: every
 /// member's potential (detail::potentials: each pair once on the calling
-/// thread on an AVX2 host, a pooled tabulate elsewhere), then the minimum
-/// with a deterministic tie-break (lowest member index, i.e. the order in
-/// `members`).
+/// thread on an AVX2 host, a pooled tabulate elsewhere), then the first
+/// minimum in member order, on the calling thread: the lowest member index
+/// among ties, as dpp::argmin would break them.
 inline CenterResult mbp_center_brute(dpp::Backend backend,
                                      const sim::ParticleSet& p,
                                      std::span<const std::uint32_t> members,
@@ -464,8 +435,8 @@ inline CenterResult mbp_center_brute(dpp::Backend backend,
   COSMO_REQUIRE(!members.empty(), "center of an empty halo");
   const std::size_t n = members.size();
   const std::vector<double> phi = detail::potentials(backend, p, members, cfg);
-  const std::size_t best =
-      dpp::argmin(backend, n, [&](std::size_t k) { return phi[k]; });
+  const auto best = static_cast<std::size_t>(
+      std::min_element(phi.begin(), phi.end()) - phi.begin());
   CenterResult r;
   r.member_index = static_cast<std::uint32_t>(best);
   r.particle = members[best];
@@ -540,16 +511,6 @@ inline CenterResult mbp_center(dpp::Backend backend,
                              : mbp_center_brute(backend, p, members, cfg);
   COSMO_COUNT("halo.center_evals", r.exact_evaluations);
   return r;
-}
-
-/// Fills p.phi for all members with exact potentials (used by analysis
-/// outputs that persist the potential, e.g. for SO seeding).
-inline void fill_potentials(dpp::Backend backend, sim::ParticleSet& p,
-                            std::span<const std::uint32_t> members,
-                            const CenterConfig& cfg = {}) {
-  const std::vector<double> phi = detail::potentials(backend, p, members, cfg);
-  for (std::size_t k = 0; k < members.size(); ++k)
-    p.phi[members[k]] = static_cast<float>(phi[k]);
 }
 
 }  // namespace cosmo::halo

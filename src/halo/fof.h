@@ -10,21 +10,28 @@
 // - unites L ∪ N outright when the node–node maximum distance is ≤ b (every
 //   pair of L × N links, so L ∪ N is connected);
 // - at a leaf pair N, skips N when every member of L ∪ N already shares one
-//   root, and otherwise tests dist2(i, j) ≤ b² unless i and j already share
-//   a root.
+//   root, and otherwise tests its pairs for dist2(i, j) ≤ b².
+// On an AVX2 host a leaf pair is tested in lanes: L's members (at most
+// kFofLeafSize = 16) sit as doubles in groups of four lanes, and each
+// member of N in turn is compared against every group in dist2's own
+// operations, so every link decision has the scalar test's bits; only the
+// pairs that link look up roots. Elsewhere the pairs run one at a time,
+// each skipped when its two ends already share a root.
 // The bounds never misjudge a pair (see kdtree.h), so the components are
-// exactly those of the all-pairs predicate, whatever the blocking. The
-// linker works on tree positions and reads coordinates from the tree's own
-// copy; every block unites into one shared, lock-free union-find whose
-// roots are each component's smallest element. Across ranks, each rank
-// finds halos over its owned+overload particles; a halo is kept by exactly
-// the rank that owns the halo's minimum-tag particle. Provided the overload
-// width is at least the maximum halo extent, that rank has seen the halo in
-// its entirety, so the assignment is both unique and complete.
+// exactly those of the all-pairs predicate, whatever the blocking and the
+// leaf size. The linker works on tree positions and reads coordinates from
+// the tree's own copy; every block unites into one shared, lock-free
+// union-find whose roots are each component's smallest element. Across
+// ranks, each rank finds halos over its owned+overload particles; a halo is
+// kept by exactly the rank that owns the halo's minimum-tag particle.
+// Provided the overload width is at least the maximum halo extent, that
+// rank has seen the halo in its entirety, so the assignment is both unique
+// and complete.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -110,10 +117,118 @@ struct FofConfig {
 
 namespace detail {
 
+/// Leaf size of FOF's k-d tree; LeafLanes holds one leaf. One thread of a
+/// 4-vCPU AVX2 Xeon ran fof_find over the rank working sets of
+/// cosmobench's three synthetic universes 23–34% faster with lanes on
+/// 16-point leaves than with the scalar loop on 8-point leaves. Lanes on
+/// 8-point leaves gained 7–9%; the scalar loop moved within ±3% on
+/// 16-point leaves and lost 20–23% on 32-point leaves (EXPERIMENTS.md,
+/// "FOF leaf pairs in AVX2 lanes").
+inline constexpr std::size_t kFofLeafSize = 16;
+static_assert(kFofLeafSize < 32, "the lane body keeps one mask bit per member");
+
+/// Unites every pair a < b of L × N within the linking length, N being L
+/// itself or a leaf after it: dist2(a, b) ≤ b², tested unless a and b
+/// already share a root. The scalar leaf-pair body, the only one on a host
+/// without AVX2.
+inline void link_leaf_pair(const KdTree& tree, double ll2,
+                           const KdTree::Node& L, const KdTree::Node& N,
+                           ConcurrentUnionFind& sets) {
+  for (std::uint32_t a = L.begin; a < L.end; ++a) {
+    std::uint32_t ra = sets.find(a);
+    for (std::uint32_t b = std::max(N.begin, a + 1); b < N.end; ++b) {
+      const std::uint32_t rb = sets.find(b);
+      if (rb == ra) continue;
+      if (tree.dist2(a, b) <= ll2) ra = sets.unite(ra, rb);
+    }
+  }
+}
+
+#ifdef COSMO_HALO_AVX2
+/// One leaf's members as doubles from the tree's point copy, in groups of
+/// four lanes; the last group is padded with zeros.
+struct LeafLanes {
+  alignas(32) double x[kFofLeafSize] = {};
+  alignas(32) double y[kFofLeafSize] = {};
+  alignas(32) double z[kFofLeafSize] = {};
+  std::uint32_t groups = 0;
+
+  void load(const KdTree& tree, const KdTree::Node& L) {
+    COSMO_REQUIRE(L.count() <= kFofLeafSize, "FOF leaf larger than its lanes");
+    const auto pts = tree.points();
+    groups = (L.count() + 3) / 4;
+    for (std::uint32_t k = 0; k < 4 * groups; ++k) {
+      const bool member = k < L.count();
+      x[k] = member ? pts[L.begin + k].c[0] : 0.0;
+      y[k] = member ? pts[L.begin + k].c[1] : 0.0;
+      z[k] = member ? pts[L.begin + k].c[2] : 0.0;
+    }
+  }
+};
+
+/// link_leaf_pair's unions, with L's members (loaded in `lanes`) in lanes.
+/// For each member b of N in order, each group of L forms d² in
+/// KdTree::point_dist2's operations: a − b per axis, fold_avx2 (box 0 on a
+/// non-periodic axis), then (dx² + dy²) + dz², and ≤ b² sets one bit of a
+/// mask per member of L. Padding lanes are cleared, and when N is L so are
+/// the lanes at or after b, leaving pairs a < b. Only set bits find roots:
+/// b's once, then unite where the roots differ.
+__attribute__((target("avx2"))) inline void link_leaf_pair_avx2(
+    const KdTree& tree, double ll2, const LeafLanes& lanes,
+    const KdTree::Node& L, const KdTree::Node& N, ConcurrentUnionFind& sets) {
+  const Periodicity& per = tree.periodicity();
+  const bool wraps[3] = {per.x, per.y, per.z};
+  __m256d box[3], half[3], neg_half[3];
+  for (int d = 0; d < 3; ++d) {
+    const double w = wraps[d] ? per.box : 0.0;
+    box[d] = _mm256_set1_pd(w);
+    half[d] = _mm256_set1_pd(0.5 * w);
+    neg_half[d] = _mm256_set1_pd(-0.5 * w);
+  }
+  const __m256d b2 = _mm256_set1_pd(ll2);
+  const std::uint32_t members = (1u << L.count()) - 1;
+  const auto pts = tree.points();
+  for (std::uint32_t b = N.begin; b < N.end; ++b) {
+    const KdTree::Point& pb = pts[b];
+    const __m256d xb = _mm256_set1_pd(pb.c[0]);
+    const __m256d yb = _mm256_set1_pd(pb.c[1]);
+    const __m256d zb = _mm256_set1_pd(pb.c[2]);
+    std::uint32_t mask = 0;
+    for (std::uint32_t g = 0; g < lanes.groups; ++g) {
+      const __m256d dx = fold_avx2(
+          _mm256_sub_pd(_mm256_load_pd(lanes.x + 4 * g), xb), box[0],
+          half[0], neg_half[0]);
+      const __m256d dy = fold_avx2(
+          _mm256_sub_pd(_mm256_load_pd(lanes.y + 4 * g), yb), box[1],
+          half[1], neg_half[1]);
+      const __m256d dz = fold_avx2(
+          _mm256_sub_pd(_mm256_load_pd(lanes.z + 4 * g), zb), box[2],
+          half[2], neg_half[2]);
+      const __m256d d2 = _mm256_add_pd(
+          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+          _mm256_mul_pd(dz, dz));
+      mask |= static_cast<std::uint32_t>(
+                  _mm256_movemask_pd(_mm256_cmp_pd(d2, b2, _CMP_LE_OQ)))
+              << (4 * g);
+    }
+    mask &= members;
+    if (N.begin == L.begin) mask &= (1u << (b - L.begin)) - 1;
+    if (mask == 0) continue;
+    std::uint32_t rb = sets.find(b);
+    for (; mask != 0; mask &= mask - 1) {
+      const std::uint32_t ra = sets.find(
+          L.begin + static_cast<std::uint32_t>(std::countr_zero(mask)));
+      if (ra != rb) rb = sets.unite(ra, rb);
+    }
+  }
+}
+#endif
+
 /// Links every pair within the linking length that has one end in a leaf
 /// of `leaves` (preorder ids) and the other at or after that leaf in tree
 /// order, uniting tree positions in `sets`. Over all leaves this is every
-/// pair, once.
+/// pair, once. The leaf pairs that survive the walk go to the lane body on
+/// an AVX2 host and to the scalar body elsewhere.
 inline void fof_link_leaves(const KdTree& tree, double ll2,
                             std::span<const std::int32_t> leaves,
                             ConcurrentUnionFind& sets) {
@@ -127,11 +242,16 @@ inline void fof_link_leaves(const KdTree& tree, double ll2,
       if (sets.find(k) != r) return false;
     return true;
   };
+#ifdef COSMO_HALO_AVX2
+  const bool in_lanes = has_avx2();
+  LeafLanes lanes;
+#endif
   // A walk's pending nodes: one sibling per level, plus the node in hand.
   std::vector<std::int32_t> stack;
   for (const std::int32_t leaf : leaves) {
     const KdTree::Node& L = tree.node(leaf);
     bool leaf_united = false;
+    [[maybe_unused]] bool leaf_loaded = false;
     stack.assign(1, tree.root());
     while (!stack.empty()) {
       const KdTree::Node& N = tree.node(stack.back());
@@ -155,15 +275,17 @@ inline void fof_link_leaves(const KdTree& tree, double ll2,
         continue;
       }
       if (one_root(L, N)) continue;
-      // N is L itself or a leaf after it: pairs a < b only.
-      for (std::uint32_t a = L.begin; a < L.end; ++a) {
-        std::uint32_t ra = sets.find(a);
-        for (std::uint32_t b = std::max(N.begin, a + 1); b < N.end; ++b) {
-          const std::uint32_t rb = sets.find(b);
-          if (rb == ra) continue;
-          if (tree.dist2(a, b) <= ll2) ra = sets.unite(ra, rb);
+#ifdef COSMO_HALO_AVX2
+      if (in_lanes) {
+        if (!leaf_loaded) {
+          lanes.load(tree, L);
+          leaf_loaded = true;
         }
+        link_leaf_pair_avx2(tree, ll2, lanes, L, N, sets);
+        continue;
       }
+#endif
+      link_leaf_pair(tree, ll2, L, N, sets);
     }
   }
 }
@@ -221,7 +343,7 @@ inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
   COSMO_TRACE_SPAN_CAT("halo.fof", "halo");
   KdTree tree = [&] {
     COSMO_TRACE_SPAN_CAT("halo.tree", "halo");
-    return KdTree::over_all(p, per, /*leaf_size=*/8, cfg.backend);
+    return KdTree::over_all(p, per, detail::kFofLeafSize, cfg.backend);
   }();
   ConcurrentUnionFind sets(n);
   const double ll2 = cfg.linking_length * cfg.linking_length;

@@ -25,6 +25,10 @@
 // dmin2 ≤ dist2(i, j) ≤ dmax2 holds bit for bit for every pair the two
 // boxes cover. x/y can be periodic (slab decomposition leaves z
 // non-periodic with unwrapped ghosts).
+//
+// fold_avx2 is fold() on four lanes, for the pair kernels of the FOF linker
+// (fof.h) and the MBP centre finder (center_finder.h); has_avx2 decides once
+// whether the host may run them.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +42,11 @@
 #include "dpp/primitives.h"
 #include "sim/particles.h"
 #include "util/error.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define COSMO_HALO_AVX2 1
+#endif
 
 namespace cosmo::halo {
 
@@ -111,6 +120,7 @@ class KdTree {
 
   std::size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
+  const Periodicity& periodicity() const { return per_; }
   std::size_t node_count() const { return nodes_.size(); }
   /// The points' ids in tree order; node ranges refer to this array.
   std::span<const std::uint32_t> index() const { return index_; }
@@ -387,5 +397,37 @@ class KdTree {
   std::vector<Node> nodes_;
   std::int32_t root_ = -1;
 };
+
+namespace detail {
+
+#ifdef COSMO_HALO_AVX2
+/// KdTree::fold (and the centre finder's detail::fold) on four lanes, as
+/// two selects in fold's order. box 0, a non-periodic axis, turns both
+/// selects into exact no-ops.
+__attribute__((target("avx2"))) inline __m256d fold_avx2(__m256d d,
+                                                         __m256d box,
+                                                         __m256d half,
+                                                         __m256d neg_half) {
+  d = _mm256_blendv_pd(d, _mm256_sub_pd(d, box),
+                       _mm256_cmp_pd(d, half, _CMP_GT_OQ));
+  return _mm256_blendv_pd(d, _mm256_add_pd(d, box),
+                          _mm256_cmp_pd(d, neg_half, _CMP_LT_OQ));
+}
+#endif
+
+/// True when the AVX2 pair kernels may run on this host; decided once.
+inline bool has_avx2() {
+#ifdef COSMO_HALO_AVX2
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return yes;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
 
 }  // namespace cosmo::halo

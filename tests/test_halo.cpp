@@ -468,14 +468,6 @@ TEST(CenterFinder, CenterOfSyntheticHaloNearTruthCenter) {
   });
 }
 
-TEST(CenterFinder, FillPotentialsWritesPhi) {
-  ParticleSet p = gaussian_blob(50, 5, 5, 5, 0.2, 30);
-  std::vector<std::uint32_t> members(p.size());
-  std::iota(members.begin(), members.end(), 0u);
-  fill_potentials(dpp::Backend::Serial, p, members, {});
-  for (std::size_t i = 0; i < p.size(); ++i) EXPECT_LT(p.phi[i], 0.0f);
-}
-
 // ----------------------------------------------------------------- SO mass --
 
 TEST(SoMass, UniformSphereRecoversRadius) {

@@ -1,5 +1,6 @@
 // Backend bit-identity tests for the parallel halo-analysis chain: FOF
-// linking blocks, the parallel k-d tree build, the per-halo property
+// linking blocks and its two leaf-pair bodies (AVX2 lanes against the
+// scalar loop), the parallel k-d tree build, the per-halo property
 // fan-out in the core pipeline, the property kernels themselves, the
 // MBP center finder's AVX2 tile kernels (target lists, and the symmetric
 // all-members kernel) against the scalar sum, and the certified A* center
@@ -329,11 +330,10 @@ TEST(ExactFof, CoincidentParticles) {
   expect_exact_partition(p, Periodicity::all(8.0), 0.25);
 }
 
-TEST(ExactFof, PairsStraddlingPeriodicSeams) {
-  // Pairs across the x, y and z faces of an 8-box, some at exactly
-  // b = 1/4 through the fold (0.125 ↔ 7.875), corner groups, and uniform
-  // filler.
-  const double box = 8.0;
+/// Pairs across the x, y and z faces of an 8-box, some at exactly
+/// b = 1/4 through the fold (0.125 ↔ 7.875), corner groups, and uniform
+/// filler.
+ParticleSet seam_set() {
   ParticleSet p;
   Rng rng(32);
   for (int k = 0; k < 6; ++k) {
@@ -347,13 +347,34 @@ TEST(ExactFof, PairsStraddlingPeriodicSeams) {
     add_cube(p, rng, 1, 0, 7.8, 0, 0.2);
     add_cube(p, rng, 1, 7.8, 0, 7.8, 0.2);
   }
-  add_cube(p, rng, 300, 0, 0, 0, box);
-  expect_exact_partition(p, Periodicity::xy(box), 0.25);
-  expect_exact_partition(p, Periodicity::all(box), 0.25);
+  add_cube(p, rng, 300, 0, 0, 0, 8.0);
+  return p;
+}
+
+/// A dense clump in an 8-box: a cube of side 0.1 (diameter < b = 0.2)
+/// holds 400 particles, so the leaves around it unite whole subtrees of it
+/// outright. A second cube 0.3 away and sparser particles around the first
+/// give pairs on both sides of b.
+ParticleSet clump_set() {
+  ParticleSet p;
+  Rng rng(50);
+  add_cube(p, rng, 400, 4.0, 4.0, 4.0, 0.1);
+  add_cube(p, rng, 200, 4.4, 4.0, 4.0, 0.1);
+  add_cube(p, rng, 300, 3.75, 3.75, 3.75, 0.6);
+  add_cube(p, rng, 300, 0, 0, 0, 8);
+  return p;
+}
+
+TEST(ExactFof, PairsStraddlingPeriodicSeams) {
+  const ParticleSet p = seam_set();
+  expect_exact_partition(p, Periodicity::xy(8.0), 0.25);
+  expect_exact_partition(p, Periodicity::all(8.0), 0.25);
 }
 
 TEST(ExactFof, SizesAroundTheLeafSize) {
-  for (const int n : {0, 1, 2, 8, 9, 17}) {
+  // One leaf, its last lane group full or padded, then the first splits
+  // of 16-point leaves: 8 + 9, 15 + 16, 16 + 16 and 16 + 17.
+  for (const int n : {0, 1, 2, 8, 9, 15, 16, 17, 31, 32, 33}) {
     ParticleSet p;
     Rng rng(40 + n);
     add_cube(p, rng, n, 0, 0, 0, 2);
@@ -364,40 +385,83 @@ TEST(ExactFof, SizesAroundTheLeafSize) {
 }
 
 TEST(ExactFof, WholeNodesUnitedWithWholeLeaves) {
-  // A dense clump: a cube of side 0.1 (diameter < b) holds 400 particles,
-  // so the leaves around it unite whole subtrees of it outright. A second
-  // cube 0.3 away and sparser particles around the first give pairs on
-  // both sides of b.
-  const double b = 0.2;
-  ParticleSet p;
-  Rng rng(50);
-  add_cube(p, rng, 400, 4.0, 4.0, 4.0, 0.1);
-  add_cube(p, rng, 200, 4.4, 4.0, 4.0, 0.1);
-  add_cube(p, rng, 300, 3.75, 3.75, 3.75, 0.6);
-  add_cube(p, rng, 300, 0, 0, 0, 8);
-  expect_exact_partition(p, Periodicity::none(), b);
-  expect_exact_partition(p, Periodicity::all(8.0), b);
+  const ParticleSet p = clump_set();
+  expect_exact_partition(p, Periodicity::none(), 0.2);
+  expect_exact_partition(p, Periodicity::all(8.0), 0.2);
 
-  // Two 32-particle trees (leaf size 8) whose one outright union is the
-  // only path between parts of a component. Eight far particles at x = −5
-  // make x the root's split, so the leaves are, in preorder, the far eight,
-  // L at x = 0, then N's two leaves at x = 0.3. With b = 1, all of N is
-  // within b of all of L:
+  // Two 64-particle trees (leaf size 16) whose one outright union is the
+  // only path between parts of a component. Sixteen far particles at
+  // x = −5 make x the root's split, so the leaves are, in preorder, the far
+  // sixteen, L at x = 0, then N's two leaves at x = 0.3. With b = 1, all of
+  // N is within b of all of L:
   // - L is one point; N's leaves sit at y = ∓0.6, 1.2 apart, so only the
   //   union of L with every member of N joins them;
   // - L's halves sit at y = ∓0.55, 1.1 apart, and N is one point, so only
   //   the union of every member of L with N joins them.
+  static_assert(halo::detail::kFofLeafSize == 16,
+                "the trees below are built for 16-point leaves");
   for (const double spread_l : {0.0, 0.55}) {
     ParticleSet q;
-    for (int k = 0; k < 8; ++k) add_particle(q, -5.0, 0.0, 0.0);
-    for (int k = 0; k < 8; ++k)
-      add_particle(q, 0.0, k < 4 ? -spread_l : spread_l, 0.0);
-    const double spread_n = spread_l > 0.0 ? 0.0 : 0.6;
+    for (int k = 0; k < 16; ++k) add_particle(q, -5.0, 0.0, 0.0);
     for (int k = 0; k < 16; ++k)
-      add_particle(q, 0.3, k < 8 ? -spread_n : spread_n, 0.0);
+      add_particle(q, 0.0, k < 8 ? -spread_l : spread_l, 0.0);
+    const double spread_n = spread_l > 0.0 ? 0.0 : 0.6;
+    for (int k = 0; k < 32; ++k)
+      add_particle(q, 0.3, k < 16 ? -spread_n : spread_n, 0.0);
     SCOPED_TRACE(spread_l);
     expect_exact_partition(q, Periodicity::none(), 1.0);
   }
+}
+
+/// Links every leaf pair (L, N), N at or after L, of one FOF tree over `p`
+/// with both leaf-pair bodies, each into its own union-find, with no walk
+/// to prune or unite whole nodes. Both partitions must be the all-pairs
+/// reference's.
+void expect_bodies_agree(const ParticleSet& p, const Periodicity& per,
+                         double linking_length) {
+#ifdef COSMO_HALO_AVX2
+  const KdTree tree = KdTree::over_all(p, per, halo::detail::kFofLeafSize);
+  std::vector<std::int32_t> leaves;
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(tree.node_count());
+       ++id)
+    if (tree.node(id).leaf()) leaves.push_back(id);
+  const double ll2 = linking_length * linking_length;
+  ConcurrentUnionFind scalar(p.size()), lanes(p.size());
+  halo::detail::LeafLanes lane_leaf;
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const KdTree::Node& L = tree.node(leaves[i]);
+    lane_leaf.load(tree, L);
+    for (std::size_t j = i; j < leaves.size(); ++j) {
+      const KdTree::Node& N = tree.node(leaves[j]);
+      halo::detail::link_leaf_pair(tree, ll2, L, N, scalar);
+      halo::detail::link_leaf_pair_avx2(tree, ll2, lane_leaf, L, N, lanes);
+    }
+  }
+  auto partition = [&](ConcurrentUnionFind& sets) {
+    std::vector<std::uint32_t> root(p.size());
+    const auto idx = tree.index();
+    for (std::uint32_t k = 0; k < p.size(); ++k) root[idx[k]] = sets.find(k);
+    return member_sets(halo::detail::group_halos(p, root, 1));
+  };
+  FofConfig cfg;
+  cfg.linking_length = linking_length;
+  cfg.min_size = 1;
+  const auto expected = member_sets(fof_brute_force(p, per, cfg));
+  EXPECT_EQ(partition(scalar), expected) << "scalar body";
+  EXPECT_EQ(partition(lanes), expected) << "lane body";
+#else
+  (void)p, (void)per, (void)linking_length;
+#endif
+}
+
+TEST(ExactFof, LaneBodyMatchesScalarBodyOnEveryLeafPair) {
+  if (!halo::detail::has_avx2())
+    GTEST_SKIP() << "no AVX2 on this CPU (or not an x86-64 build): FOF runs "
+                    "only the scalar leaf-pair body here";
+  const ParticleSet seams = seam_set();
+  expect_bodies_agree(seams, Periodicity::xy(8.0), 0.25);
+  expect_bodies_agree(seams, Periodicity::all(8.0), 0.25);
+  expect_bodies_agree(clump_set(), Periodicity::all(8.0), 0.2);
 }
 
 TEST(ParallelFof, MinTagMemberIsArgMin) {
@@ -843,7 +907,7 @@ constexpr const char* kNoAvx2 =
 void expect_kernel_bitwise(const CenterCase& c,
                            std::span<const std::uint32_t> targets,
                            const std::string& what) {
-#ifdef COSMO_CENTER_AVX2
+#ifdef COSMO_HALO_AVX2
   std::vector<double> phi(targets.size());
   halo::detail::potentials_avx2(c.p, c.members, targets, c.cfg, phi);
   for (std::size_t t = 0; t < targets.size(); ++t) {
@@ -935,10 +999,10 @@ TEST(MbpTileKernel, MonsterHaloSerialEqualsPoolEqualsReference) {
 // ------------------------------------------- symmetric all-members φ --
 
 /// Every member's φ, not just the argmin's, bit for bit against the scalar
-/// exact_potential: through detail::potentials and through fill_potentials
-/// (which stores φ as float), on both backends. On an AVX2 host both take
-/// the symmetric tile kernel, which computes each pair's term once for its
-/// two members; elsewhere the pooled exact_potential tabulate.
+/// exact_potential, through detail::potentials on both backends. On an
+/// AVX2 host it takes the symmetric tile kernel, which computes each pair's
+/// term once for its two members; elsewhere the pooled exact_potential
+/// tabulate.
 void expect_every_phi_exact(const CenterCase& c) {
   const std::size_t n = c.members.size();
   std::vector<double> ref(n);
@@ -955,13 +1019,6 @@ void expect_every_phi_exact(const CenterCase& c) {
                 std::bit_cast<std::uint64_t>(ref[k]))
           << where << ": member " << k << ", potentials " << phi[k]
           << " vs scalar " << ref[k];
-    ParticleSet filled = c.p;
-    fill_potentials(backend, filled, c.members, c.cfg);
-    for (std::size_t k = 0; k < n; ++k)
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(filled.phi[c.members[k]]),
-                std::bit_cast<std::uint32_t>(static_cast<float>(ref[k])))
-          << where << ": member " << k << ", fill_potentials "
-          << filled.phi[c.members[k]] << " vs scalar " << ref[k];
   }
 }
 
