@@ -1,7 +1,7 @@
-// google-benchmark microbenchmarks for the substrate layers: data-parallel
-// primitives on both backends (the PISTON portability claim), FFTs, k-d
-// tree construction, and FOF — the kernels whose costs drive every
-// workflow-level number in Tables 2–4.
+// google-benchmark microbenchmarks for the substrate layers: FFTs, k-d
+// tree construction, FOF, brute-force centring on both backends (the
+// PISTON portability claim) and the dpp pool's dispatch paths — the
+// kernels whose costs drive every workflow-level number in Tables 2–4.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -36,49 +36,6 @@ sim::ParticleSet clustered(std::size_t n, std::uint64_t seed) {
   }
   return p;
 }
-
-void BM_Reduce(benchmark::State& state) {
-  const auto backend = static_cast<dpp::Backend>(state.range(0));
-  std::vector<double> v(static_cast<std::size_t>(state.range(1)));
-  Rng rng(1);
-  for (auto& x : v) x = rng.uniform();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dpp::reduce<double>(backend, v));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
-}
-BENCHMARK(BM_Reduce)
-    ->Args({0, 1 << 16})
-    ->Args({1, 1 << 16})
-    ->Args({0, 1 << 20})
-    ->Args({1, 1 << 20});
-
-void BM_ExclusiveScan(benchmark::State& state) {
-  const auto backend = static_cast<dpp::Backend>(state.range(0));
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(state.range(1)), 3),
-      out(v.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dpp::exclusive_scan<std::uint64_t>(backend, v, out));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
-}
-BENCHMARK(BM_ExclusiveScan)
-    ->Args({0, 1 << 18})
-    ->Args({1, 1 << 18});
-
-void BM_SortIndices(benchmark::State& state) {
-  const auto backend = static_cast<dpp::Backend>(state.range(0));
-  std::vector<std::uint32_t> keys(static_cast<std::size_t>(state.range(1)));
-  Rng rng(2);
-  for (auto& k : keys) k = static_cast<std::uint32_t>(rng());
-  std::vector<std::uint32_t> idx;
-  for (auto _ : state) {
-    dpp::sort_indices_by_key<std::uint32_t>(backend, keys, idx);
-    benchmark::DoNotOptimize(idx.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
-}
-BENCHMARK(BM_SortIndices)->Args({0, 1 << 16})->Args({1, 1 << 16});
 
 void BM_Fft3dLocal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -173,7 +130,7 @@ void BM_DispatchGrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(kN));
 }
 BENCHMARK(BM_DispatchGrain)
-    ->Arg(0)  // auto (~4 chunks per worker)
+    ->Arg(0)  // auto (32 chunks per worker)
     ->Arg(16)
     ->Arg(256)
     ->Arg(4096)

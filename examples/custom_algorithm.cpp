@@ -28,7 +28,7 @@ class VelocityDispersionAlgorithm : public core::CadencedAlgorithm {
   std::string Name() const override { return "veldisp"; }
 
   void SetToolParameters(const core::ParameterMap& p) override {
-    min_halo_ = static_cast<std::size_t>(p.get_int("min_halo", 100));
+    min_halo_ = p.get_size("min_halo", 100);
   }
 
   void Execute(const sim::StepContext&, core::AnalysisContext& ctx) override {

@@ -40,7 +40,10 @@
 #                              pool) with -DCOSMO_TSAN=ON in build-tsan/ and
 #                              fails on any reported race.
 #   scripts/verify.sh --asan   AddressSanitizer + UBSan pass over the index
-#                              arithmetic: builds test_halo (k-d range and
+#                              arithmetic: builds test_dpp (deposit_reduce's
+#                              private buffers, slice merge and block
+#                              ranges, for_each_chunk's ranges), test_halo
+#                              (k-d range and
 #                              kNN oracles, k = 0, subhalo densities and the
 #                              shared neighbour lists across the periodic
 #                              seams), test_halo_parallel
@@ -56,7 +59,8 @@
 #                              (FOF permutation invariance, coincident and
 #                              empty inputs), test_io,
 #                              test_campaign (aggregated I/O, checkpoint
-#                              restart), test_faults and test_sim (the
+#                              restart, a rerun in a used workdir),
+#                              test_faults and test_sim (the
 #                              synthetic generator's pre-sized particle
 #                              ranges) with -DCOSMO_ASAN=ON in build-asan/
 #                              and fails on any report.
@@ -83,8 +87,8 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-asan}"
-  asan_tests=(test_halo test_halo_parallel test_halo_shape test_robustness
-    test_io test_campaign test_faults test_sim)
+  asan_tests=(test_dpp test_halo test_halo_parallel test_halo_shape
+    test_robustness test_io test_campaign test_faults test_sim)
   cmake -B "$build_dir" -S "$repo_root" -DCOSMO_ASAN=ON
   cmake --build "$build_dir" --target "${asan_tests[@]}" -j "$jobs"
   for t in "${asan_tests[@]}"; do

@@ -98,6 +98,9 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
   auto level2_base = [&](std::size_t step) {
     return cfg.base.workdir / ("level2.step" + std::to_string(step));
   };
+  auto trigger_path = [&](std::size_t step) {
+    return fs::path(level2_base(step).string() + ".alldone");
+  };
 
   // The analysis side: one real job per trigger, each on its own thread.
   std::vector<std::thread> analysis_jobs;
@@ -158,9 +161,16 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
         const auto pos = name.find("step");
         COSMO_REQUIRE(pos != std::string::npos, "unexpected trigger name");
         const std::size_t step = std::stoul(name.substr(pos + 4));
+        // A longer earlier campaign in this workdir may have left triggers
+        // for steps this one does not run; they launch nothing.
+        if (step >= cfg.timesteps) return;
         std::lock_guard lock(jobs_mutex);
         analysis_jobs.emplace_back(analysis_job, step);
       });
+  // An earlier campaign's step triggers would fire at once, fold its Level 2
+  // halos into this run's empty catalogs and hide the real triggers from
+  // the listener. Remove them; one that cannot be removed throws.
+  for (std::size_t s = 0; s < cfg.timesteps; ++s) fs::remove(trigger_path(s));
   listener.start();
 
   // Stops the listener, then joins every analysis job. Runs before this
@@ -215,7 +225,7 @@ inline CampaignResult run_campaign(const CampaignConfig& cfg) {
             step_out.deferred_halos = deferred;
             step_out.catalog = std::move(catalog);  // in-situ part
           }
-          std::ofstream(level2_base(s).string() + ".alldone") << "ok\n";
+          std::ofstream(trigger_path(s)) << "ok\n";
         }
         c.barrier();
       }

@@ -88,7 +88,7 @@ class CadencedAlgorithm : public InSituAlgorithm {
  public:
   void SetParameters(const ParameterMap& params) override {
     enabled_ = params.get_bool("enabled", true);
-    cadence_ = static_cast<std::size_t>(params.get_int("cadence", 1));
+    cadence_ = params.get_size("cadence", 1);
     COSMO_REQUIRE(cadence_ >= 1, "cadence must be at least 1");
     SetToolParameters(params);
   }

@@ -6,10 +6,14 @@
 // Format:  "[section]" headers, "key value" lines, '#' comments.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <cstddef>
 #include <istream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include "util/error.h"
 
@@ -36,24 +40,27 @@ class ParameterMap {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// A finite number, parsed whole: "0.25abc" and "inf" throw.
   double get_double(const std::string& key, double fallback) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    try {
-      return std::stod(it->second);
-    } catch (...) {
-      throw Error("parameter '" + key + "' is not a number: " + it->second);
-    }
+    double v = 0.0;
+    if (!parse_whole(it->second, v) || !std::isfinite(v))
+      throw Error("parameter '" + key + "' is not a finite number: " +
+                  it->second);
+    return v;
   }
 
-  long long get_int(const std::string& key, long long fallback) const {
+  /// A count: decimal digits only, parsed whole. "-1" throws rather than
+  /// wrapping to SIZE_MAX, and "40x" and "1e3" throw rather than reading
+  /// as 40 and 1.
+  std::size_t get_size(const std::string& key, std::size_t fallback) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    try {
-      return std::stoll(it->second);
-    } catch (...) {
-      throw Error("parameter '" + key + "' is not an integer: " + it->second);
-    }
+    std::size_t v = 0;
+    if (!parse_whole(it->second, v))
+      throw Error("parameter '" + key + "' is not a count: " + it->second);
+    return v;
   }
 
   bool get_bool(const std::string& key, bool fallback) const {
@@ -68,6 +75,14 @@ class ParameterMap {
   std::size_t size() const { return values_.size(); }
 
  private:
+  /// std::from_chars over the whole text; an unsigned T accepts no sign.
+  template <typename T>
+  static bool parse_whole(const std::string& text, T& out) {
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, out);
+    return ec == std::errc{} && end == last;
+  }
+
   std::map<std::string, std::string> values_;
 };
 

@@ -1,35 +1,32 @@
 // Data-parallel primitives — the PISTON/Thrust stand-in.
 //
-// Single-source portable algorithms: every analysis kernel (MBP potential
-// sums, CIC deposits, histogram reductions) is written once against these
-// primitives and executed on either backend. The Backend value plays the
-// role of Thrust's execution policy; Serial is the reference implementation
-// and ThreadPool is the "accelerator".
+// Single-source portable algorithms: every pooled analysis kernel is
+// written once against these four primitives and runs on either backend.
+// The Backend value plays the role of Thrust's execution policy; Serial is
+// the reference implementation and ThreadPool is the "accelerator".
+//
+//   tabulate        out[i] = fn(i): MBP potential tables, SO and profile radii
+//   for_each_index  fn(i): the per-halo fan-out, FOF and shape blocks
+//   for_each_chunk  fn(lo, hi): FFT rows and pack/unpack, MBP tiles, NFW radii
+//   deposit_reduce  scatter-add through private buffers: the CIC deposit
 //
 // Grain hints: every primitive takes an optional `grain` (items per
 // scheduler chunk, 0 = auto). The work-stealing pool claims chunks
 // dynamically, so a small grain lets load-imbalanced kernels (heavy
 // per-item cost that varies, e.g. O(n) potential sums) balance across
-// workers; the auto grain targets a few chunks per worker, right for cheap
-// uniform loops. Results are backend- and grain-independent for every
-// deterministic primitive: the block decompositions below combine partial
-// results in fixed block order, never in thread arrival order.
+// workers; the auto grain cuts 32 chunks per worker, right for cheap
+// uniform loops. deposit_reduce merges its blocks in fixed block order,
+// never in thread arrival order, so its result is backend-independent.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <numeric>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "dpp/thread_pool.h"
 #include "obs/obs.h"
-#include "util/error.h"
 
 namespace cosmo::dpp {
 
@@ -60,9 +57,10 @@ void for_each_range(Backend b, std::size_t n, Fn&& fn, std::size_t grain = 0) {
   ThreadPool::instance().parallel_for(n, fn, grain);
 }
 
-/// Fixed block decomposition for partial-result algorithms (reduce, scan,
-/// bucket_count): block boundaries depend only on (n, grain, workers), so
-/// per-block partials can be combined in deterministic block order no
+/// Fixed block decomposition for partial-result kernels (deposit_reduce's
+/// private buffers and merge slices, FOF's linking blocks, halo_shape's
+/// inertia partials): block boundaries depend only on (n, grain, workers),
+/// so per-block partials can be combined in deterministic block order no
 /// matter which thread ran which block. Blocks are dispatched as one
 /// scheduler item each (grain 1 over the block index space), so stealing
 /// balances blocks of uneven cost.
@@ -122,195 +120,6 @@ void for_each_chunk(Backend b, std::size_t n, Fn fn, std::size_t grain = 0) {
   detail::for_each_range(b, n, fn, grain);
 }
 
-/// Reduction of fn(i) over [0, n) with an associative op. Partial results
-/// are combined in block order, so the parallel result is deterministic
-/// (and equals Serial whenever op is exactly associative).
-template <typename T, typename Fn, typename Op>
-T transform_reduce(Backend b, std::size_t n, T init, Op op, Fn fn,
-                   std::size_t grain = 0) {
-  if (b == Backend::Serial || n == 0) {
-    T acc = init;
-    for (std::size_t i = 0; i < n; ++i) acc = op(acc, fn(i));
-    return acc;
-  }
-  const detail::BlockDecomposition blocks(n, grain);
-  std::vector<T> partial(blocks.num_blocks, init);
-  for_each_index(
-      b, blocks.num_blocks,
-      [&](std::size_t blk) {
-        T acc = init;
-        const std::size_t hi = blocks.hi(blk, n);
-        for (std::size_t i = blocks.lo(blk); i < hi; ++i) acc = op(acc, fn(i));
-        partial[blk] = acc;
-      },
-      /*grain=*/1);
-  T acc = init;
-  for (const auto& p : partial) acc = op(acc, p);
-  return acc;
-}
-
-/// Sum reduction over a span.
-template <typename T>
-T reduce(Backend b, std::span<const T> in, T init = T{}) {
-  return transform_reduce(
-      b, in.size(), init, [](T a, T v) { return a + v; },
-      [&](std::size_t i) { return in[i]; });
-}
-
-/// Index of the minimum of fn(i) over [0, n); ties break to the lowest
-/// index so results are backend-independent. `grain` follows the cost of
-/// fn: pass a small grain when single evaluations are expensive.
-template <typename Fn>
-std::size_t argmin(Backend b, std::size_t n, Fn fn, std::size_t grain = 0) {
-  COSMO_REQUIRE(n > 0, "argmin of empty range");
-  using V = decltype(fn(std::size_t{0}));
-  struct Best {
-    V value;
-    std::size_t index;
-  };
-  auto better = [](const Best& a, const Best& c) {
-    if (c.value < a.value) return c;
-    if (c.value == a.value && c.index < a.index) return c;
-    return a;
-  };
-  Best init{std::numeric_limits<V>::max(), std::numeric_limits<std::size_t>::max()};
-  Best r = transform_reduce(
-      b, n, init, better, [&](std::size_t i) { return Best{fn(i), i}; },
-      grain);
-  return r.index;
-}
-
-/// Exclusive prefix sum: out[i] = sum of in[0..i). Returns the total.
-/// Two-pass block scan (scan-then-propagate) on the pool backend; += only
-/// needs to be associative, not commutative — block offsets are combined
-/// strictly left to right.
-template <typename T>
-T exclusive_scan(Backend b, std::span<const T> in, std::span<T> out,
-                 std::size_t grain = 0) {
-  COSMO_REQUIRE(in.size() == out.size(), "scan size mismatch");
-  const std::size_t n = in.size();
-  if (n == 0) return T{};
-  if (b == Backend::Serial) {
-    T acc{};
-    for (std::size_t i = 0; i < n; ++i) {
-      const T v = in[i];  // allow in == out aliasing
-      out[i] = acc;
-      acc += v;
-    }
-    return acc;
-  }
-  const detail::BlockDecomposition blocks(n, grain);
-  std::vector<T> block_sum(blocks.num_blocks, T{});
-  for_each_index(
-      b, blocks.num_blocks,
-      [&](std::size_t blk) {
-        T acc{};
-        const std::size_t hi = blocks.hi(blk, n);
-        for (std::size_t i = blocks.lo(blk); i < hi; ++i) acc += in[i];
-        block_sum[blk] = acc;
-      },
-      /*grain=*/1);
-  T total{};
-  std::vector<T> block_off(blocks.num_blocks, T{});
-  for (std::size_t blk = 0; blk < blocks.num_blocks; ++blk) {
-    block_off[blk] = total;
-    total += block_sum[blk];
-  }
-  for_each_index(
-      b, blocks.num_blocks,
-      [&](std::size_t blk) {
-        T acc = block_off[blk];
-        const std::size_t hi = blocks.hi(blk, n);
-        for (std::size_t i = blocks.lo(blk); i < hi; ++i) {
-          const T v = in[i];
-          out[i] = acc;
-          acc += v;
-        }
-      },
-      /*grain=*/1);
-  return total;
-}
-
-/// Inclusive prefix sum: out[i] = sum of in[0..i]. Returns the total.
-template <typename T>
-T inclusive_scan(Backend b, std::span<const T> in, std::span<T> out) {
-  const T total = exclusive_scan(b, in, out);
-  // out[i] currently holds the exclusive sum; add in[i] back.
-  for_each_index(b, in.size(), [&](std::size_t i) { out[i] += in[i]; });
-  return total;
-}
-
-/// out[i] = in[map[i]].
-template <typename T, typename I>
-void gather(Backend b, std::span<const T> in, std::span<const I> map,
-            std::span<T> out) {
-  COSMO_REQUIRE(map.size() == out.size(), "gather size mismatch");
-  for_each_index(b, map.size(), [&](std::size_t i) {
-    out[i] = in[static_cast<std::size_t>(map[i])];
-  });
-}
-
-/// out[map[i]] = in[i]; map must be a permutation-like injection.
-template <typename T, typename I>
-void scatter(Backend b, std::span<const T> in, std::span<const I> map,
-             std::span<T> out) {
-  COSMO_REQUIRE(map.size() == in.size(), "scatter size mismatch");
-  for_each_index(b, map.size(), [&](std::size_t i) {
-    out[static_cast<std::size_t>(map[i])] = in[i];
-  });
-}
-
-/// Stable sort of `index` (a permutation of [0,n)) by keys[index[i]].
-/// Parallel backend: per-chunk sorts followed by log2 rounds of pairwise
-/// inplace_merge; each run/merge is one scheduler item (grain 1) so the
-/// pool steals whole runs.
-template <typename K>
-void sort_indices_by_key(Backend b, std::span<const K> keys,
-                         std::vector<std::uint32_t>& index) {
-  const std::size_t n = keys.size();
-  index.resize(n);
-  for (std::size_t i = 0; i < n; ++i) index[i] = static_cast<std::uint32_t>(i);
-  auto cmp = [&](std::uint32_t a, std::uint32_t c) { return keys[a] < keys[c]; };
-  if (b == Backend::Serial || n < 4096) {
-    std::stable_sort(index.begin(), index.end(), cmp);
-    return;
-  }
-  auto& pool = ThreadPool::instance();
-  const std::size_t nw = pool.workers();
-  const std::size_t chunk = (n + nw - 1) / nw;
-  // Phase 1: sort each chunk independently.
-  std::vector<std::pair<std::size_t, std::size_t>> runs;
-  for (std::size_t lo = 0; lo < n; lo += chunk)
-    runs.emplace_back(lo, std::min(lo + chunk, n));
-  for_each_index(
-      b, runs.size(),
-      [&](std::size_t r) {
-        std::stable_sort(index.begin() + static_cast<std::ptrdiff_t>(runs[r].first),
-                         index.begin() + static_cast<std::ptrdiff_t>(runs[r].second),
-                         cmp);
-      },
-      /*grain=*/1);
-  // Phase 2: pairwise merges until one run remains.
-  while (runs.size() > 1) {
-    std::vector<std::pair<std::size_t, std::size_t>> merged;
-    const std::size_t pairs = runs.size() / 2;
-    merged.reserve(pairs + 1);
-    for (std::size_t p = 0; p < pairs; ++p)
-      merged.emplace_back(runs[2 * p].first, runs[2 * p + 1].second);
-    if (runs.size() % 2) merged.push_back(runs.back());
-    for_each_index(
-        b, pairs,
-        [&](std::size_t p) {
-          auto first = index.begin() + static_cast<std::ptrdiff_t>(runs[2 * p].first);
-          auto mid = index.begin() + static_cast<std::ptrdiff_t>(runs[2 * p].second);
-          auto last = index.begin() + static_cast<std::ptrdiff_t>(runs[2 * p + 1].second);
-          std::inplace_merge(first, mid, last, cmp);
-        },
-        /*grain=*/1);
-    runs = std::move(merged);
-  }
-}
-
 /// Scatter-reduce ("deposit"): item i adds contributions at arbitrary
 /// offsets of an accumulator the size of `dest` — the shape of the CIC
 /// density deposit, where every particle scatters weights onto 8 grid
@@ -327,13 +136,12 @@ void sort_indices_by_key(Backend b, std::span<const K> keys,
 /// dest in fixed ascending block order, sliced across disjoint dest ranges
 /// so the merge itself parallelizes race-free.
 ///
-/// Determinism contract (the PR-2 reduce/scan contract, extended to
-/// scatter): block boundaries and merge order depend only on
+/// Determinism contract: block boundaries and merge order depend only on
 /// (n, grain, pool width) — never on which thread ran which block — and
 /// the Serial backend executes the *same* decomposition single-threaded.
 /// Serial and ThreadPool results are therefore bit-identical for floating
-/// point T, per call shape. (As with reduce, results for non-associative
-/// += can differ across *grains*, which change the block structure.)
+/// point T, per call shape. (Results for non-associative += can differ
+/// across *grains*, which change the block structure.)
 template <typename T, typename Scatter>
 void deposit_reduce(Backend b, std::size_t n, std::span<T> dest,
                     Scatter scatter, std::size_t grain = 0) {
@@ -384,61 +192,6 @@ void deposit_reduce(Backend b, std::size_t n, std::span<T> dest,
           for (std::size_t j = slo; j < shi; ++j) dest[j] += p[j];
       },
       /*grain=*/1);
-}
-
-/// Counts of key occurrences for keys in [0, num_buckets); the building
-/// block for CIC binning and halo-id segmentation. Parallel backend uses
-/// per-block count arrays merged in block order (blocks are kept coarse —
-/// each one carries a num_buckets-sized scratch array).
-template <typename I>
-std::vector<std::uint64_t> bucket_count(Backend b, std::span<const I> keys,
-                                        std::size_t num_buckets) {
-  std::vector<std::uint64_t> counts(num_buckets, 0);
-  if (b == Backend::Serial || keys.size() < 4096) {
-    for (const auto k : keys) {
-      const auto kk = static_cast<std::size_t>(k);
-      COSMO_REQUIRE(kk < num_buckets, "bucket key out of range");
-      ++counts[kk];
-    }
-    return counts;
-  }
-  const std::size_t n = keys.size();
-  const detail::BlockDecomposition blocks(n, /*grain=*/0, /*min_block=*/4096);
-  std::vector<std::vector<std::uint64_t>> partial(
-      blocks.num_blocks, std::vector<std::uint64_t>(num_buckets, 0));
-  for_each_index(
-      b, blocks.num_blocks,
-      [&](std::size_t blk) {
-        auto& mine = partial[blk];
-        const std::size_t hi = blocks.hi(blk, n);
-        for (std::size_t i = blocks.lo(blk); i < hi; ++i) {
-          const auto kk = static_cast<std::size_t>(keys[i]);
-          COSMO_REQUIRE(kk < num_buckets, "bucket key out of range");
-          ++mine[kk];
-        }
-      },
-      /*grain=*/1);
-  for (const auto& p : partial)
-    for (std::size_t k = 0; k < num_buckets; ++k) counts[k] += p[k];
-  return counts;
-}
-
-/// Compacts indices whose predicate holds, preserving order.
-template <typename Pred>
-std::vector<std::uint32_t> copy_if_index(Backend b, std::size_t n, Pred pred) {
-  std::vector<std::uint8_t> flags(n);
-  tabulate<std::uint8_t>(b, flags, [&](std::size_t i) {
-    return pred(i) ? std::uint8_t{1} : std::uint8_t{0};
-  });
-  std::vector<std::uint32_t> offsets(n);
-  std::vector<std::uint32_t> flags32(flags.begin(), flags.end());
-  const std::uint32_t total = exclusive_scan<std::uint32_t>(
-      b, std::span<const std::uint32_t>(flags32), std::span<std::uint32_t>(offsets));
-  std::vector<std::uint32_t> out(total);
-  for_each_index(b, n, [&](std::size_t i) {
-    if (flags[i]) out[offsets[i]] = static_cast<std::uint32_t>(i);
-  });
-  return out;
 }
 
 }  // namespace cosmo::dpp

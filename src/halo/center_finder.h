@@ -426,8 +426,8 @@ inline constexpr std::size_t kAStarSeeds = 16;
 /// Brute-force O(n²) MBP center — the PISTON implementation: every
 /// member's potential (detail::potentials: each pair once on the calling
 /// thread on an AVX2 host, a pooled tabulate elsewhere), then the first
-/// minimum in member order, on the calling thread: the lowest member index
-/// among ties, as dpp::argmin would break them.
+/// minimum in member order, on the calling thread: among equal potentials
+/// the lowest member index wins.
 inline CenterResult mbp_center_brute(dpp::Backend backend,
                                      const sim::ParticleSet& p,
                                      std::span<const std::uint32_t> members,

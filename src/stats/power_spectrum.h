@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "comm/comm.h"
-#include "dpp/primitives.h"
 #include "fft/distributed_fft.h"
 #include "fft/fft.h"
 #include "sim/particles.h"
@@ -28,10 +27,6 @@ struct PowerSpectrumConfig {
   std::size_t bins = 16;          ///< |k| bins between k_fund and k_Nyquist
   bool subtract_shot_noise = true;
   bool deconvolve_cic = true;
-  /// Backend for the CIC deposit (dpp::deposit_reduce via PmSolver): the
-  /// measured spectrum is bit-identical either way, so an in-situ
-  /// measurement can share the pool with co-scheduled analysis ranks.
-  dpp::Backend backend = dpp::Backend::Serial;
 };
 
 struct PowerSpectrum {
@@ -51,14 +46,12 @@ inline PowerSpectrum measure_power_spectrum(comm::Comm& comm,
   COSMO_REQUIRE(total_particles > 0, "power spectrum of an empty universe");
   const std::size_t ng = cfg.grid;
   fft::DistributedFft dfft(comm, ng);
-  dfft.set_backend(cfg.backend);
   const std::size_t nzl = dfft.slab_thickness();
 
-  // CIC overdensity on the slab (reuse the PM deposit machinery — the
-  // parallel scatter-reduce deposit included, per cfg.backend).
+  // CIC overdensity on the slab, through the PM deposit machinery. The
+  // deposit and the FFT both run on their Serial default.
   sim::Cosmology cosmo;  // deposit only needs geometry, not parameters
   sim::PmSolver pm(comm, cosmo, ng, box);
-  pm.set_backend(cfg.backend);
   const double mean_per_cell =
       static_cast<double>(total_particles) /
       (static_cast<double>(ng) * static_cast<double>(ng) * static_cast<double>(ng));

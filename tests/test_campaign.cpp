@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <string>
 #include <tuple>
 
 #include "core/campaign.h"
@@ -92,6 +95,56 @@ TEST(Campaign, MatchesPerStepInSituReference) {
     }
   }
   fs::remove_all(cfg.base.workdir);
+}
+
+// Runs `earlier_steps` campaign steps at seed 777 in a workdir, then the
+// 3-step campaign at seed 778 in the same workdir. Each step must give,
+// bit for bit, the catalog the 3-step campaign gives in a fresh workdir.
+void expect_rerun_matches_fresh(std::size_t earlier_steps,
+                                const std::string& tag) {
+  auto used = small_campaign(tag + "_used");
+  used.timesteps = earlier_steps;
+  core::run_campaign(used);
+  EXPECT_TRUE(fs::exists(used.base.workdir /
+                         ("level2.step" + std::to_string(earlier_steps - 1) +
+                          ".alldone")));
+  used.timesteps = 3;
+  used.base.universe.seed = 778;
+  const auto got = core::run_campaign(used);
+  auto fresh = small_campaign(tag + "_fresh");
+  fresh.base.universe.seed = 778;
+  const auto want = core::run_campaign(fresh);
+  fs::remove_all(used.base.workdir);
+  fs::remove_all(fresh.base.workdir);
+  EXPECT_EQ(got.analysis_job_failures, 0u);
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (std::size_t s = 0; s < want.steps.size(); ++s) {
+    const auto& g = got.steps[s];
+    const auto& w = want.steps[s];
+    EXPECT_FALSE(g.degraded) << "step " << s;
+    EXPECT_EQ(g.deferred_halos, w.deferred_halos) << "step " << s;
+    ASSERT_EQ(g.catalog.size(), w.catalog.size()) << "step " << s;
+    for (std::size_t i = 0; i < w.catalog.size(); ++i) {
+      EXPECT_EQ(g.catalog[i].id, w.catalog[i].id) << "step " << s;
+      EXPECT_EQ(g.catalog[i].count, w.catalog[i].count) << "step " << s;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(g.catalog[i].potential),
+                std::bit_cast<std::uint32_t>(w.catalog[i].potential))
+          << "step " << s << " halo " << w.catalog[i].id;
+    }
+  }
+}
+
+// The earlier run's step triggers are still in the workdir. Seen at start,
+// they would fold its Level 2 halos into this run's catalogs, and the
+// listener would then ignore the real triggers.
+TEST(Campaign, RerunInUsedWorkdirMatchesFreshRun) {
+  expect_rerun_matches_fresh(3, "rerun");
+}
+
+// A longer earlier campaign also leaves a trigger for a step past this
+// run's last; it must launch no analysis job.
+TEST(Campaign, ShorterRerunIgnoresTriggersPastItsLastStep) {
+  expect_rerun_matches_fresh(4, "shorter");
 }
 
 TEST(Campaign, RequiresSplitThreshold) {

@@ -2,8 +2,10 @@
 // the concrete algorithms, the split auto-tuner, and machine models.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "core/algorithms.h"
 #include "core/cosmotools.h"
@@ -25,23 +27,60 @@ TEST(ParameterMap, TypedAccessAndFallbacks) {
   p.set("ratio", "2.5");
   p.set("flag", "true");
   p.set("name", "halo finder");
-  EXPECT_EQ(p.get_int("count", 0), 42);
+  EXPECT_EQ(p.get_size("count", 0), 42u);
   EXPECT_DOUBLE_EQ(p.get_double("ratio", 0.0), 2.5);
   EXPECT_TRUE(p.get_bool("flag", false));
   EXPECT_EQ(p.get_string("name"), "halo finder");
-  EXPECT_EQ(p.get_int("missing", 7), 7);
+  EXPECT_EQ(p.get_size("missing", 7), 7u);
   EXPECT_DOUBLE_EQ(p.get_double("missing", 1.5), 1.5);
   EXPECT_FALSE(p.get_bool("missing", false));
   EXPECT_EQ(p.get_string("missing", "dflt"), "dflt");
+  p.set("count", "18446744073709551615");
+  EXPECT_EQ(p.get_size("count", 0), std::numeric_limits<std::size_t>::max());
+  for (const auto& [text, value] :
+       {std::pair{"1e3", 1000.0}, std::pair{"-0.25", -0.25},
+        std::pair{"1e-7", 1e-7}, std::pair{"40", 40.0}}) {
+    p.set("ratio", text);
+    EXPECT_EQ(p.get_double("ratio", 0.0), value) << "'" << text << "'";
+  }
 }
 
 TEST(ParameterMap, BadValuesThrow) {
   ParameterMap p;
   p.set("count", "not-a-number");
   p.set("flag", "maybe");
-  EXPECT_THROW(p.get_int("count", 0), Error);
+  EXPECT_THROW(p.get_size("count", 0), Error);
   EXPECT_THROW(p.get_bool("flag", false), Error);
   EXPECT_THROW(p.get_string("missing"), Error);
+  // A value must parse whole: no trailing text, no fraction or exponent in
+  // a count, and no sign that an unsigned count would wrap.
+  for (const char* bad : {"40x", "1e3", "0.5", "-1", "+1", "4 0", "",
+                          "99999999999999999999"}) {
+    p.set("count", bad);
+    EXPECT_THROW(p.get_size("count", 0), Error) << "'" << bad << "'";
+  }
+  for (const char* bad : {"0.25abc", "1.5.2", "inf", "-inf", "nan", "1e400",
+                          "", "x1"}) {
+    p.set("ratio", bad);
+    EXPECT_THROW(p.get_double("ratio", 0.0), Error) << "'" << bad << "'";
+  }
+}
+
+// A negative cadence must fail at configure, not wrap to SIZE_MAX and pass
+// the >= 1 check.
+TEST(ParameterMap, NegativeCadenceFailsAtConfigure) {
+  comm::run_spmd(1, [&](comm::Comm& c) {
+    sim::SlabDecomposition decomp(1, 64.0);
+    InSituAnalysisManager manager(c, decomp, 64.0, 100);
+    manager.add(std::make_unique<PowerSpectrumAlgorithm>());
+    EXPECT_THROW(manager.configure(
+                     CosmoToolsConfig::parse("[powerspectrum]\ncadence -1\n")),
+                 Error);
+    EXPECT_THROW(manager.configure(
+                     CosmoToolsConfig::parse("[powerspectrum]\ncadence 0\n")),
+                 Error);
+    manager.configure(CosmoToolsConfig::parse("[powerspectrum]\ncadence 4\n"));
+  });
 }
 
 TEST(CosmoToolsConfig, ParsesSectionsCommentsAndValues) {
@@ -64,8 +103,8 @@ method astar
   EXPECT_EQ(cfg.section("").get_string("output_dir"), "/tmp/run1");
   EXPECT_DOUBLE_EQ(cfg.section("halofinder").get_double("linking_length", 0),
                    0.28);
-  EXPECT_EQ(cfg.section("halofinder").get_int("min_size", 0), 40);
-  EXPECT_EQ(cfg.section("centerfinder").get_int("threshold", 0), 300000);
+  EXPECT_EQ(cfg.section("halofinder").get_size("min_size", 0), 40u);
+  EXPECT_EQ(cfg.section("centerfinder").get_size("threshold", 0), 300000u);
   EXPECT_EQ(cfg.section("centerfinder").get_string("method"), "astar");
 }
 

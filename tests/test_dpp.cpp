@@ -1,10 +1,11 @@
 // Tests for the data-parallel primitives (PISTON stand-in).
 //
-// Every primitive is exercised on both backends via TEST_P; the ThreadPool
-// results must be bit-identical to Serial for the deterministic primitives.
+// The primitives run on both backends via TEST_P (for_each_index through
+// deposit_reduce's blocks); deposit_reduce's ThreadPool results must be
+// bit-identical to Serial. The DppPool suites drive the scheduler
+// underneath them directly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -43,143 +44,47 @@ TEST_P(DppBackends, TabulateEmptyIsNoop) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST_P(DppBackends, ReduceMatchesStdAccumulate) {
-  Rng rng(5);
-  std::vector<std::int64_t> v(54321);
-  for (auto& x : v) x = static_cast<std::int64_t>(rng.below(1000));
-  const auto expect = std::accumulate(v.begin(), v.end(), std::int64_t{0});
-  EXPECT_EQ(dpp::reduce<std::int64_t>(GetParam(), v), expect);
-}
-
-TEST_P(DppBackends, TransformReduceMax) {
-  std::vector<double> v(9999);
-  Rng rng(6);
-  for (auto& x : v) x = rng.uniform();
-  v[1234] = 7.5;
-  const double m = dpp::transform_reduce(
-      GetParam(), v.size(), -1.0,
-      [](double a, double b) { return a > b ? a : b; },
-      [&](std::size_t i) { return v[i]; });
-  EXPECT_DOUBLE_EQ(m, 7.5);
-}
-
-TEST_P(DppBackends, ArgminFindsGlobalMinimum) {
-  std::vector<double> v(20011);
-  Rng rng(7);
-  for (auto& x : v) x = rng.uniform(1.0, 2.0);
-  v[15000] = 0.25;
-  EXPECT_EQ(dpp::argmin(GetParam(), v.size(),
-                        [&](std::size_t i) { return v[i]; }),
-            15000u);
-}
-
-TEST_P(DppBackends, ArgminBreaksTiesToLowestIndex) {
-  std::vector<double> v(10000, 1.0);
-  v[100] = 0.0;
-  v[9000] = 0.0;
-  EXPECT_EQ(dpp::argmin(GetParam(), v.size(),
-                        [&](std::size_t i) { return v[i]; }),
-            100u);
-}
-
-TEST_P(DppBackends, ExclusiveScanMatchesReference) {
-  Rng rng(8);
-  std::vector<std::uint64_t> v(33333), out(33333);
-  for (auto& x : v) x = rng.below(50);
-  const auto total = dpp::exclusive_scan<std::uint64_t>(GetParam(), v, out);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    ASSERT_EQ(out[i], acc) << "at index " << i;
-    acc += v[i];
-  }
-  EXPECT_EQ(total, acc);
-}
-
-TEST_P(DppBackends, ExclusiveScanAliasedInOut) {
-  std::vector<std::uint32_t> v(12345, 1);
-  const auto total = dpp::exclusive_scan<std::uint32_t>(
-      GetParam(), std::span<const std::uint32_t>(v), std::span<std::uint32_t>(v));
-  EXPECT_EQ(total, 12345u);
-  for (std::size_t i = 0; i < v.size(); ++i) ASSERT_EQ(v[i], i);
-}
-
-TEST_P(DppBackends, InclusiveScanMatchesReference) {
-  std::vector<int> v(4096, 2), out(4096);
-  dpp::inclusive_scan<int>(GetParam(), v, out);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    ASSERT_EQ(out[i], 2 * static_cast<int>(i + 1));
-}
-
-TEST_P(DppBackends, GatherPermutes) {
-  std::vector<double> in{10, 20, 30, 40, 50};
-  std::vector<std::uint32_t> map{4, 3, 2, 1, 0};
-  std::vector<double> out(5);
-  dpp::gather<double, std::uint32_t>(GetParam(), in, map, out);
-  EXPECT_EQ(out, (std::vector<double>{50, 40, 30, 20, 10}));
-}
-
-TEST_P(DppBackends, ScatterInvertsGather) {
-  Rng rng(9);
-  const std::size_t n = 8192;
-  std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  for (std::size_t i = n; i > 1; --i)
-    std::swap(perm[i - 1], perm[rng.below(i)]);
-  std::vector<float> in(n), mid(n), back(n);
-  for (auto& x : in) x = static_cast<float>(rng.uniform());
-  dpp::gather<float, std::uint32_t>(GetParam(), in, perm, mid);
-  dpp::scatter<float, std::uint32_t>(GetParam(), mid, perm, back);
-  EXPECT_EQ(in, back);
-}
-
-TEST_P(DppBackends, SortIndicesByKeyIsStableSorted) {
-  Rng rng(10);
-  std::vector<std::uint32_t> keys(30000);
-  for (auto& k : keys) k = static_cast<std::uint32_t>(rng.below(100));
-  std::vector<std::uint32_t> idx;
-  dpp::sort_indices_by_key<std::uint32_t>(GetParam(), keys, idx);
-  ASSERT_EQ(idx.size(), keys.size());
-  for (std::size_t i = 1; i < idx.size(); ++i) {
-    ASSERT_LE(keys[idx[i - 1]], keys[idx[i]]);
-    if (keys[idx[i - 1]] == keys[idx[i]]) {
-      ASSERT_LT(idx[i - 1], idx[i]) << "stability violated";
+// for_each_chunk hands out non-empty ranges that together cover [0, n)
+// exactly once, which also makes them disjoint. With an explicit grain no
+// pooled chunk is larger than the grain; Serial, the reference, runs the
+// whole range as one chunk.
+TEST_P(DppBackends, ForEachChunkCoversRangeOnceWithinGrain) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{1000}, std::size_t{54321}}) {
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{97}}) {
+      std::vector<std::atomic<std::uint32_t>> seen(n);
+      std::atomic<std::size_t> chunks{0}, max_chunk{0}, bad_ranges{0};
+      dpp::for_each_chunk(
+          GetParam(), n,
+          [&](std::size_t lo, std::size_t hi) {
+            if (lo >= hi || hi > n) {
+              bad_ranges.fetch_add(1, std::memory_order_relaxed);
+              return;
+            }
+            chunks.fetch_add(1, std::memory_order_relaxed);
+            std::size_t prev = max_chunk.load(std::memory_order_relaxed);
+            while (hi - lo > prev &&
+                   !max_chunk.compare_exchange_weak(prev, hi - lo)) {
+            }
+            for (std::size_t i = lo; i < hi; ++i)
+              seen[i].fetch_add(1, std::memory_order_relaxed);
+          },
+          grain);
+      ASSERT_EQ(bad_ranges.load(), 0u) << "n " << n << " grain " << grain;
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(seen[i].load(), 1u)
+            << "index " << i << " n " << n << " grain " << grain;
+      if (n == 0) {
+        EXPECT_EQ(chunks.load(), 0u);
+      } else if (GetParam() == Backend::Serial) {
+        EXPECT_EQ(chunks.load(), 1u) << "n " << n;
+        EXPECT_EQ(max_chunk.load(), n);
+      } else if (grain != 0) {
+        EXPECT_LE(max_chunk.load(), grain) << "n " << n;
+        EXPECT_EQ(chunks.load(), (n + grain - 1) / grain) << "n " << n;
+      }
     }
   }
-  // Must be a permutation.
-  std::vector<std::uint32_t> sorted_idx = idx;
-  std::sort(sorted_idx.begin(), sorted_idx.end());
-  for (std::size_t i = 0; i < sorted_idx.size(); ++i)
-    ASSERT_EQ(sorted_idx[i], i);
-}
-
-TEST_P(DppBackends, BucketCountMatchesManualCounts) {
-  Rng rng(11);
-  std::vector<std::uint16_t> keys(44100);
-  for (auto& k : keys) k = static_cast<std::uint16_t>(rng.below(37));
-  auto counts = dpp::bucket_count<std::uint16_t>(GetParam(), keys, 37);
-  std::vector<std::uint64_t> expect(37, 0);
-  for (auto k : keys) ++expect[k];
-  EXPECT_EQ(counts, expect);
-}
-
-TEST_P(DppBackends, BucketCountRejectsOutOfRangeKey) {
-  std::vector<std::uint16_t> keys{0, 5, 36, 37};
-  EXPECT_THROW(dpp::bucket_count<std::uint16_t>(GetParam(), keys, 37),
-               Error);
-}
-
-TEST_P(DppBackends, CopyIfIndexKeepsOrder) {
-  const std::size_t n = 25000;
-  auto evens =
-      dpp::copy_if_index(GetParam(), n, [](std::size_t i) { return i % 2 == 0; });
-  ASSERT_EQ(evens.size(), n / 2);
-  for (std::size_t i = 0; i < evens.size(); ++i)
-    ASSERT_EQ(evens[i], 2 * i);
-}
-
-TEST_P(DppBackends, CopyIfIndexEmptyResult) {
-  auto none = dpp::copy_if_index(GetParam(), 1000, [](std::size_t) { return false; });
-  EXPECT_TRUE(none.empty());
 }
 
 // ------------------------------------------------- deposit_reduce (scatter)
@@ -337,20 +242,6 @@ TEST(DppPool, WorkersAtLeastTwo) {
   EXPECT_GE(dpp::ThreadPool::instance().workers(), 2u);
 }
 
-TEST(DppPool, BackendsAgreeOnLargeReduction) {
-  Rng rng(12);
-  std::vector<std::int64_t> v(200000);
-  for (auto& x : v) x = static_cast<std::int64_t>(rng.below(1 << 20));
-  EXPECT_EQ(dpp::reduce<std::int64_t>(Backend::Serial, v),
-            dpp::reduce<std::int64_t>(Backend::ThreadPool, v));
-}
-
-TEST(DppPool, ArgminEmptyThrows) {
-  EXPECT_THROW(
-      dpp::argmin(Backend::Serial, 0, [](std::size_t) { return 0.0; }),
-      Error);
-}
-
 // Concurrent-dispatch stress: N SPMD ranks × M dispatches each drive the
 // pool simultaneously. The work-stealing scheduler runs the groups
 // concurrently (no global dispatch lock), so the only invariant is
@@ -467,44 +358,6 @@ TEST(DppPool, ExplicitGrainBoundsChunks) {
       kGrain);
   EXPECT_LE(max_chunk.load(), kGrain);
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(seen[i].load(), 1u);
-}
-
-// Scan with a non-commutative (but associative) +=: composition of affine
-// maps x -> a*x + b over a small modulus. Dynamic chunking must combine
-// blocks strictly left-to-right for this to match Serial exactly.
-struct Affine {
-  // Identity by default; integer arithmetic mod 1e9+7 keeps it exact.
-  std::uint64_t a = 1, b = 0;
-  static constexpr std::uint64_t kMod = 1000000007ULL;
-  Affine& operator+=(const Affine& o) {
-    // (this ∘ then o): x -> o.a*(a*x + b) + o.b
-    const std::uint64_t na = (o.a * a) % kMod;
-    const std::uint64_t nb = (o.a * b + o.b) % kMod;
-    a = na;
-    b = nb;
-    return *this;
-  }
-  bool operator==(const Affine&) const = default;
-};
-
-TEST(DppPool, NonCommutativeScanMatchesSerial) {
-  Rng rng(13);
-  std::vector<Affine> v(30011);
-  for (auto& f : v) f = Affine{1 + rng.below(97), rng.below(1009)};
-  std::vector<Affine> serial(v.size()), pooled(v.size());
-  const Affine ts = dpp::exclusive_scan<Affine>(Backend::Serial, v, serial);
-  const Affine tp =
-      dpp::exclusive_scan<Affine>(Backend::ThreadPool, v, pooled);
-  EXPECT_EQ(ts, tp);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    ASSERT_EQ(serial[i], pooled[i]) << "at index " << i;
-  // Also with an explicit small grain, which changes the block structure.
-  std::vector<Affine> fine(v.size());
-  const Affine tf = dpp::exclusive_scan<Affine>(Backend::ThreadPool, v, fine,
-                                                /*grain=*/64);
-  EXPECT_EQ(ts, tf);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    ASSERT_EQ(serial[i], fine[i]) << "at index " << i;
 }
 
 // Work-stealing imbalance: one rank dispatches 10x the items of the other.

@@ -26,7 +26,7 @@ namespace fs = std::filesystem;
 class CountingAlgorithm : public InSituAlgorithm {
  public:
   void SetParameters(const ParameterMap& p) override {
-    cadence_ = static_cast<std::size_t>(p.get_int("cadence", 1));
+    cadence_ = p.get_size("cadence", 1);
   }
   bool ShouldExecute(const sim::StepContext& s) const override {
     return s.step % cadence_ == 0;

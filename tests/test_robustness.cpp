@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <numeric>
+#include <utility>
 
 #include "comm/comm.h"
 #include "core/workflows.h"
+#include "dpp/primitives.h"
 #include "faults/faults.h"
 #include "fft/fft.h"
 #include "halo/fof.h"
@@ -76,42 +78,35 @@ TEST(CommRobustness, AlltoallvWithEmptyAndFatBuffers) {
 
 // --------------------------------------------------------------------- dpp
 
+// n = 1 through every primitive on both backends: one item, one chunk.
 TEST(DppRobustness, SizeOneEverything) {
   using dpp::Backend;
   for (auto b : {Backend::Serial, Backend::ThreadPool}) {
-    std::vector<int> one{7}, out(1);
-    EXPECT_EQ(dpp::reduce<int>(b, one), 7);
-    EXPECT_EQ(dpp::exclusive_scan<int>(b, one, out), 7);
-    EXPECT_EQ(out[0], 0);
-    EXPECT_EQ(dpp::argmin(b, 1, [](std::size_t) { return 3.0; }), 0u);
-  }
-}
+    std::vector<int> out(1);
+    dpp::tabulate<int>(b, out, [](std::size_t i) {
+      return 7 + static_cast<int>(i);
+    });
+    EXPECT_EQ(out[0], 7);
 
-TEST(DppRobustness, SortHandlesPreSortedAndReverse) {
-  using dpp::Backend;
-  const std::size_t n = 10000;
-  for (auto b : {Backend::Serial, Backend::ThreadPool}) {
-    std::vector<std::uint32_t> asc(n), desc(n), idx;
-    std::iota(asc.begin(), asc.end(), 0u);
-    for (std::size_t i = 0; i < n; ++i) desc[i] = static_cast<std::uint32_t>(n - i);
-    dpp::sort_indices_by_key<std::uint32_t>(b, asc, idx);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(idx[i], i);
-    dpp::sort_indices_by_key<std::uint32_t>(b, desc, idx);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(idx[i], n - 1 - i);
-  }
-}
+    std::vector<std::size_t> visited;
+    dpp::for_each_index(b, 1, [&](std::size_t i) { visited.push_back(i); });
+    EXPECT_EQ(visited, std::vector<std::size_t>{0});
 
-TEST(DppRobustness, ArgminAtBoundaries) {
-  std::vector<double> v(5000, 1.0);
-  v.front() = -1.0;
-  EXPECT_EQ(dpp::argmin(dpp::Backend::ThreadPool, v.size(),
-                        [&](std::size_t i) { return v[i]; }),
-            0u);
-  v.front() = 1.0;
-  v.back() = -1.0;
-  EXPECT_EQ(dpp::argmin(dpp::Backend::ThreadPool, v.size(),
-                        [&](std::size_t i) { return v[i]; }),
-            v.size() - 1);
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    dpp::for_each_chunk(b, 1, [&](std::size_t lo, std::size_t hi) {
+      chunks.emplace_back(lo, hi);
+    });
+    ASSERT_EQ(chunks.size(), 1u);
+    EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{0, 1}));
+
+    std::vector<double> dest{1.0, 2.0};
+    dpp::deposit_reduce<double>(b, 1, dest,
+                                [](std::span<double> buf, std::size_t i) {
+                                  buf[i] += 0.5;
+                                  buf[i + 1] += 0.25;
+                                });
+    EXPECT_EQ(dest, (std::vector<double>{1.5, 2.25}));
+  }
 }
 
 // --------------------------------------------------------------------- fft

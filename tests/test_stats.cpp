@@ -102,36 +102,6 @@ TEST(PowerSpectrum, RankCountInvariant) {
     EXPECT_NEAR(p4[b], p1[b], 1e-6 * std::abs(p1[b]) + 1e-12);
 }
 
-// The deposit is the only particle-count-dependent stage; with the
-// scatter-reduce deposit being backend-bit-identical and the FFT/binning
-// deterministic, the measured spectrum must be EXACTLY equal on both
-// backends — the in-situ measurement can share the pool for free.
-TEST(PowerSpectrum, BackendInvariantBitExact) {
-  sim::Cosmology cosmo;
-  sim::IcConfig ic;
-  ic.ng = 16;
-  ic.box = 64.0;
-  ic.z_init = 10.0;
-  ic.seed = 77;
-  const std::uint64_t ntot = 16ull * 16ull * 16ull;
-  comm::run_spmd(2, [&](comm::Comm& c) {
-    auto p = sim::zeldovich_ics(c, cosmo, ic);
-    PowerSpectrumConfig cfg;
-    cfg.grid = 16;
-    cfg.bins = 5;
-    cfg.backend = cosmo::dpp::Backend::Serial;
-    auto serial = measure_power_spectrum(c, p, ic.box, ntot, cfg);
-    cfg.backend = cosmo::dpp::Backend::ThreadPool;
-    auto pooled = measure_power_spectrum(c, p, ic.box, ntot, cfg);
-    ASSERT_EQ(serial.power.size(), pooled.power.size());
-    EXPECT_EQ(serial.modes, pooled.modes);
-    for (std::size_t b = 0; b < serial.power.size(); ++b) {
-      ASSERT_EQ(serial.k[b], pooled.k[b]) << "bin " << b;
-      ASSERT_EQ(serial.power[b], pooled.power[b]) << "bin " << b;
-    }
-  });
-}
-
 TEST(MassFunction, SplitsAtThreshold) {
   HaloCatalog cat;
   for (std::uint64_t n : {50u, 100u, 400u, 100000u, 400000u, 2000000u}) {
