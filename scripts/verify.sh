@@ -41,8 +41,12 @@
 #                              fails on any reported race.
 #   scripts/verify.sh --asan   AddressSanitizer + UBSan pass over the index
 #                              arithmetic: builds test_dpp (deposit_reduce's
-#                              private buffers, slice merge and block
-#                              ranges, for_each_chunk's ranges), test_halo
+#                              private buffers, its Serial one-buffer
+#                              blocks, slice merge and block ranges,
+#                              for_each_chunk's ranges), test_fft (the
+#                              per-length plans' swap and twiddle tables,
+#                              the transposes' pack/unpack index
+#                              arithmetic), test_halo
 #                              (k-d range and
 #                              kNN oracles, k = 0, subhalo densities and the
 #                              shared neighbour lists across the periodic
@@ -62,22 +66,38 @@
 #                              restart, a rerun in a used workdir),
 #                              test_faults and test_sim (the
 #                              synthetic generator's pre-sized particle
-#                              ranges) with -DCOSMO_ASAN=ON in build-asan/
-#                              and fails on any report.
+#                              ranges, the PM path's masked CIC stencils
+#                              and redistribute's indexed output) with
+#                              -DCOSMO_ASAN=ON in build-asan/ and fails on
+#                              any report.
+#   Each sanitizer lane builds its binaries as one aggregate target, so
+#   they compile in parallel (JOBS, default nproc).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
 
+# Configures a sanitizer tree and builds the given test binaries as the one
+# aggregate target `lane_tests` (tests/CMakeLists.txt), so make compiles
+# them in parallel: naming them as separate targets would build them one
+# after another behind the top-level Makefile's .NOTPARALLEL.
+build_lane() {
+  local build_dir="$1" sanitizer="$2"
+  shift 2
+  local IFS=';'
+  cmake -B "$build_dir" -S "$repo_root" "-D$sanitizer=ON" \
+    "-DCOSMO_LANE_TESTS=$*"
+  cmake --build "$build_dir" --target lane_tests -j "$jobs"
+}
+
 if [[ "${1:-}" == "--tsan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-tsan}"
-  cmake -B "$build_dir" -S "$repo_root" -DCOSMO_TSAN=ON
-  cmake --build "$build_dir" --target test_dpp test_comm test_fft test_faults \
-    test_halo_parallel test_workflows test_campaign test_sim -j "$jobs"
+  tsan_tests=(test_dpp test_comm test_fft test_faults test_halo_parallel
+    test_workflows test_campaign test_sim)
+  build_lane "$build_dir" COSMO_TSAN "${tsan_tests[@]}"
   # TSAN_OPTIONS: any race is fatal (non-zero exit), second_deadlock_stack
   # makes lock-order reports actionable.
-  for t in test_dpp test_comm test_fft test_faults test_halo_parallel \
-    test_workflows test_campaign test_sim; do
+  for t in "${tsan_tests[@]}"; do
     TSAN_OPTIONS="halt_on_error=0 exitcode=66 second_deadlock_stack=1" \
       "$build_dir/tests/$t"
   done
@@ -87,10 +107,9 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-asan}"
-  asan_tests=(test_dpp test_halo test_halo_parallel test_halo_shape
+  asan_tests=(test_dpp test_fft test_halo test_halo_parallel test_halo_shape
     test_robustness test_io test_campaign test_faults test_sim)
-  cmake -B "$build_dir" -S "$repo_root" -DCOSMO_ASAN=ON
-  cmake --build "$build_dir" --target "${asan_tests[@]}" -j "$jobs"
+  build_lane "$build_dir" COSMO_ASAN "${asan_tests[@]}"
   for t in "${asan_tests[@]}"; do
     UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" "$build_dir/tests/$t"
   done

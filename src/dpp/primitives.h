@@ -138,10 +138,11 @@ void for_each_chunk(Backend b, std::size_t n, Fn fn, std::size_t grain = 0) {
 ///
 /// Determinism contract: block boundaries and merge order depend only on
 /// (n, grain, pool width) — never on which thread ran which block — and
-/// the Serial backend executes the *same* decomposition single-threaded.
-/// Serial and ThreadPool results are therefore bit-identical for floating
-/// point T, per call shape. (Results for non-associative += can differ
-/// across *grains*, which change the block structure.)
+/// the Serial backend runs the *same* blocks and the same additions one
+/// block at a time through a single reused buffer. Serial and ThreadPool
+/// results are therefore bit-identical for floating point T, per call
+/// shape. (Results for non-associative += can differ across *grains*,
+/// which change the block structure.)
 template <typename T, typename Scatter>
 void deposit_reduce(Backend b, std::size_t n, std::span<T> dest,
                     Scatter scatter, std::size_t grain = 0) {
@@ -163,6 +164,24 @@ void deposit_reduce(Backend b, std::size_t n, std::span<T> dest,
   if (blocks.num_blocks <= 1) {
     // Single block: in-order scatter straight into dest, both backends.
     for (std::size_t i = 0; i < n; ++i) scatter(dest, i);
+    return;
+  }
+  if (b == Backend::Serial) {
+    // One block at a time through one reused buffer: block 0 scatters into
+    // dest, each later block into the zeroed buffer, which is then added
+    // into dest and zeroed again. Every dest[j] gains block 1's sum, then
+    // block 2's, …: the pooled merge's additions, in its order.
+    COSMO_COUNT("dpp.deposit_buffers", 1);
+    for (std::size_t i = 0; i < blocks.hi(0, n); ++i) scatter(dest, i);
+    std::vector<T> buf(m, T{});
+    for (std::size_t blk = 1; blk < blocks.num_blocks; ++blk) {
+      const std::size_t hi = blocks.hi(blk, n);
+      for (std::size_t i = blocks.lo(blk); i < hi; ++i) scatter(buf, i);
+      for (std::size_t j = 0; j < m; ++j) {
+        dest[j] += buf[j];
+        buf[j] = T{};
+      }
+    }
     return;
   }
   COSMO_COUNT("dpp.deposit_buffers", blocks.num_blocks - 1);

@@ -59,14 +59,6 @@ class DistributedFft {
   void set_backend(dpp::Backend b) { backend_ = b; }
   dpp::Backend backend() const { return backend_; }
 
-  /// Rows per scheduler chunk for the 1-D row transforms (0 = auto).
-  void set_row_grain(std::size_t g) { row_grain_ = g; }
-  std::size_t row_grain() const { return row_grain_; }
-
-  /// (y_local, x) pencils per chunk for the pack/unpack loops (0 = auto).
-  void set_copy_grain(std::size_t g) { copy_grain_ = g; }
-  std::size_t copy_grain() const { return copy_grain_; }
-
   /// Forward transform. `slab` holds the rank's real-space z-slab on entry
   /// and its transposed k-space ky-slab on return. Unnormalized.
   void forward(std::vector<Complex>& slab) {
@@ -80,8 +72,7 @@ class DistributedFft {
           [&](std::size_t t) {
             fft_1d(std::span<Complex>(slab.data() + t * n_, n_),
                    /*inverse=*/false);
-          },
-          row_grain_);
+          });
       dpp::for_each_chunk(
           backend_, nslab_ * n_,
           [&](std::size_t lo, std::size_t hi) {
@@ -91,8 +82,7 @@ class DistributedFft {
               fft_1d_strided(plane + t % n_, n_, n_, /*inverse=*/false,
                              scratch);
             }
-          },
-          row_grain_);
+          });
     }
     transpose(slab, /*z_to_y=*/true);
     {
@@ -103,8 +93,7 @@ class DistributedFft {
           [&](std::size_t row) {
             fft_1d(std::span<Complex>(slab.data() + row * n_, n_),
                    /*inverse=*/false);
-          },
-          row_grain_);
+          });
     }
   }
 
@@ -119,8 +108,7 @@ class DistributedFft {
           [&](std::size_t row) {
             fft_1d(std::span<Complex>(slab.data() + row * n_, n_),
                    /*inverse=*/true);
-          },
-          row_grain_);
+          });
     }
     transpose(slab, /*z_to_y=*/false);
     {
@@ -133,15 +121,13 @@ class DistributedFft {
               Complex* plane = slab.data() + (t / n_) * n_ * n_;
               fft_1d_strided(plane + t % n_, n_, n_, /*inverse=*/true, scratch);
             }
-          },
-          row_grain_);
+          });
       dpp::for_each_index(
           backend_, nslab_ * n_,
           [&](std::size_t t) {
             fft_1d(std::span<Complex>(slab.data() + t * n_, n_),
                    /*inverse=*/true);
-          },
-          row_grain_);
+          });
     }
     const double scale = 1.0 / (static_cast<double>(n_) * static_cast<double>(n_) *
                                 static_cast<double>(n_));
@@ -150,8 +136,7 @@ class DistributedFft {
         [&](std::size_t row) {
           Complex* r = slab.data() + row * n_;
           for (std::size_t i = 0; i < n_; ++i) r[i] *= scale;
-        },
-        row_grain_);
+        });
   }
 
  private:
@@ -178,8 +163,7 @@ class DistributedFft {
           Complex* dst = buf + t * nslab_;
           for (std::size_t zl = 0; zl < nslab_; ++zl)
             dst[zl] = slab[(zl * n_ + (y0 + yl)) * n_ + x];
-        },
-        copy_grain_);
+        });
   }
 
   /// z→y unpack of source s's block into the k-space layout: s owned the
@@ -194,8 +178,7 @@ class DistributedFft {
           const Complex* src = buf + t * nslab_;
           Complex* dst = out + (yl * n_ + x) * n_ + z0;
           for (std::size_t zl = 0; zl < nslab_; ++zl) dst[zl] = src[zl];
-        },
-        copy_grain_);
+        });
   }
 
   /// y→z pack: mirror of unpack_z_to_y (contiguous kz runs out of the slab).
@@ -210,8 +193,7 @@ class DistributedFft {
           const Complex* src = slab.data() + (yl * n_ + x) * n_ + z0;
           Complex* dst = buf + t * nslab_;
           for (std::size_t zl = 0; zl < nslab_; ++zl) dst[zl] = src[zl];
-        },
-        copy_grain_);
+        });
   }
 
   /// y→z unpack: mirror of pack_z_to_y (scatter back into z-plane layout).
@@ -225,8 +207,7 @@ class DistributedFft {
           const Complex* src = buf + t * nslab_;
           for (std::size_t zl = 0; zl < nslab_; ++zl)
             out[(zl * n_ + (y0 + yl)) * n_ + x] = src[zl];
-        },
-        copy_grain_);
+        });
   }
 
   // ---- transposes --------------------------------------------------------
@@ -284,8 +265,6 @@ class DistributedFft {
   std::size_t n_;
   std::size_t nslab_;
   dpp::Backend backend_ = dpp::Backend::Serial;
-  std::size_t row_grain_ = 0;
-  std::size_t copy_grain_ = 0;
 };
 
 }  // namespace cosmo::fft

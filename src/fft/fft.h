@@ -7,10 +7,14 @@
 // domain decomposition.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <complex>
 #include <cstddef>
+#include <memory>
 #include <numbers>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -22,6 +26,51 @@ using Complex = std::complex<double>;
 /// True if n is a power of two (and nonzero).
 constexpr bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
+namespace detail {
+
+/// Everything fft_1d needs for one (n ≥ 2, direction) that does not depend
+/// on the data: the bit-reversal swaps and every stage's twiddles. Stage
+/// `half` (butterflies half apart, half = 1, 2, 4, …, n/2) keeps its half
+/// twiddles at [half − 1, 2·half − 1); they come from the same
+/// w *= wlen recurrence a per-row loop would run, so each has the same bits.
+struct FftPlan {
+  std::vector<std::pair<std::size_t, std::size_t>> swaps;  // (i, j), i < j
+  std::vector<Complex> twiddles;                           // n − 1 of them
+
+  FftPlan(std::size_t n, bool inverse) {
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+      std::size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      if (i < j) swaps.emplace_back(i, j);
+    }
+    twiddles.reserve(n - 1);
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double angle =
+          (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+      const Complex wlen(std::cos(angle), std::sin(angle));
+      Complex w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        twiddles.push_back(w);
+        w *= wlen;
+      }
+    }
+  }
+};
+
+/// This thread's plan for (n, inverse), built on first use. Each plan sits
+/// behind its own unique_ptr in a fixed-size table, so the reference stays
+/// valid for the thread's lifetime whatever other lengths it plans later.
+inline const FftPlan& fft_plan(std::size_t n, bool inverse) {
+  thread_local std::array<std::unique_ptr<FftPlan>, 2 * 64> plans;
+  auto& slot = plans[2 * static_cast<std::size_t>(std::countr_zero(n)) +
+                     (inverse ? 1 : 0)];
+  if (!slot) slot = std::make_unique<FftPlan>(n, inverse);
+  return *slot;
+}
+
+}  // namespace detail
+
 /// In-place iterative radix-2 Cooley–Tukey on a contiguous buffer.
 /// `inverse` applies the conjugate transform WITHOUT the 1/n scaling;
 /// callers scale once at the end of a full round trip.
@@ -29,27 +78,21 @@ inline void fft_1d(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
   COSMO_REQUIRE(is_pow2(n), "fft_1d length must be a power of two");
   if (n <= 1) return;
-
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const Complex wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
+  const detail::FftPlan& plan = detail::fft_plan(n, inverse);
+  Complex* d = data.data();
+  for (const auto& [i, j] : plan.swaps) std::swap(d[i], d[j]);
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const Complex* w = plan.twiddles.data() + (half - 1);
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const Complex u = d[i + k];
+        const Complex t = d[i + k + half];
+        // (ac − bd, ad + bc): std::complex's product for finite operands
+        // that do not overflow, without its NaN recovery branch.
+        const Complex v(t.real() * w[k].real() - t.imag() * w[k].imag(),
+                        t.real() * w[k].imag() + t.imag() * w[k].real());
+        d[i + k] = u + v;
+        d[i + k + half] = u - v;
       }
     }
   }

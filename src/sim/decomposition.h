@@ -8,6 +8,8 @@
 // analysis share one decomposition.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -34,6 +36,19 @@ inline void unpack_particle(const PackedParticle& w, ParticleSet& p) {
   p.push_back(w.x, w.y, w.z, w.vx, w.vy, w.vz, w.tag, w.phi);
 }
 
+/// Writes w over particle k of p.
+inline void unpack_particle(const PackedParticle& w, ParticleSet& p,
+                            std::size_t k) {
+  p.x[k] = w.x;
+  p.y[k] = w.y;
+  p.z[k] = w.z;
+  p.vx[k] = w.vx;
+  p.vy[k] = w.vy;
+  p.vz[k] = w.vz;
+  p.phi[k] = w.phi;
+  p.tag[k] = w.tag;
+}
+
 /// Periodic z-slab decomposition of an L^3 box across the communicator.
 class SlabDecomposition {
  public:
@@ -48,33 +63,59 @@ class SlabDecomposition {
   double z_lo(int rank) const { return slab_thickness() * rank; }
   double z_hi(int rank) const { return slab_thickness() * (rank + 1); }
 
-  /// Rank owning position z (z is wrapped into [0, box) first).
+  /// Rank owning position z (z is wrapped into [0, box) first, with one
+  /// fmod as ParticleSet::wrap_positions wraps). Non-finite z throws.
   int owner_of(double zpos) const {
+    COSMO_REQUIRE(std::isfinite(zpos), "owner_of needs a finite z");
     double zz = zpos;
-    while (zz < 0.0) zz += box_;
-    while (zz >= box_) zz -= box_;
+    if (!(zz >= 0.0 && zz < box_)) {
+      zz = std::fmod(zz, box_);
+      if (zz < 0.0) zz += box_;
+      if (zz >= box_) zz -= box_;
+    }
     int r = static_cast<int>(zz / slab_thickness());
     if (r >= nranks_) r = nranks_ - 1;
     return r;
   }
 
   /// Moves every particle to its owner rank (alltoallv). Positions are
-  /// wrapped into the box before routing.
+  /// wrapped into the box before routing. Only particles that leave this
+  /// rank travel. The result holds source ranks in ascending order, each
+  /// source's particles in its local order, with this rank's own
+  /// particles in place as its block.
   ParticleSet redistribute(comm::Comm& comm, ParticleSet local) const {
     COSMO_REQUIRE(comm.size() == nranks_, "communicator/decomposition mismatch");
     local.wrap_positions(static_cast<float>(box_));
-    std::vector<std::vector<PackedParticle>> send(
-        static_cast<std::size_t>(nranks_));
-    for (std::size_t i = 0; i < local.size(); ++i)
-      send[static_cast<std::size_t>(owner_of(local.z[i]))].push_back(
-          pack_particle(local, i));
-    auto recv = comm.alltoallv(send);
-    ParticleSet owned;
-    std::size_t total = 0;
-    for (const auto& buf : recv) total += buf.size();
-    owned.reserve(total);
-    for (const auto& buf : recv)
-      for (const auto& w : buf) unpack_particle(w, owned);
+    const auto nr = static_cast<std::size_t>(nranks_);
+    const auto home = static_cast<std::size_t>(comm.rank());
+    const std::size_t n = local.size();
+    std::vector<std::size_t> owner(n);
+    std::vector<std::size_t> count(nr, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      owner[i] = static_cast<std::size_t>(owner_of(local.z[i]));
+      ++count[owner[i]];
+    }
+    std::vector<std::vector<PackedParticle>> send(nr);
+    for (std::size_t d = 0; d < nr; ++d)
+      if (d != home) send[d].reserve(count[d]);
+    if (count[home] != n)
+      for (std::size_t i = 0; i < n; ++i)
+        if (owner[i] != home) send[owner[i]].push_back(pack_particle(local, i));
+    const auto recv = comm.alltoallv(send);
+    std::size_t total = count[home];
+    for (std::size_t s = 0; s < nr; ++s)
+      if (s != home) total += recv[s].size();
+    if (count[home] == n && total == n) return local;  // nothing moved
+    ParticleSet owned(total);
+    std::size_t k = 0;
+    for (std::size_t s = 0; s < nr; ++s) {
+      if (s == home) {
+        for (std::size_t i = 0; i < n; ++i)
+          if (owner[i] == home) owned.set(k++, local, i);
+      } else {
+        for (const auto& w : recv[s]) unpack_particle(w, owned, k++);
+      }
+    }
     return owned;
   }
 

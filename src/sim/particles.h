@@ -77,6 +77,18 @@ class ParticleSet {
     tag.insert(tag.end(), other.tag.begin(), other.tag.end());
   }
 
+  /// Overwrites particle k with particle j of `other`.
+  void set(std::size_t k, const ParticleSet& other, std::size_t j) {
+    x[k] = other.x[j];
+    y[k] = other.y[j];
+    z[k] = other.z[j];
+    vx[k] = other.vx[j];
+    vy[k] = other.vy[j];
+    vz[k] = other.vz[j];
+    phi[k] = other.phi[j];
+    tag[k] = other.tag[j];
+  }
+
   /// Copies particle j of `other` onto the end of this set.
   void push_from(const ParticleSet& other, std::size_t j) {
     push_back(other.x[j], other.y[j], other.z[j], other.vx[j], other.vy[j],
@@ -100,6 +112,9 @@ class ParticleSet {
   void wrap_positions(float box) {
     COSMO_REQUIRE(box > 0.0f, "box size must be positive");
     auto wrap = [box](float& v) {
+      // In [0, box) fmod returns its input unchanged (−0 included), so
+      // only coordinates outside the box pay for it.
+      if (v >= 0.0f && v < box) return;
       v = std::fmod(v, box);
       if (v < 0.0f) v += box;
       // fmod(-ε, box) + box can round up to exactly box; fold it to 0.

@@ -229,7 +229,7 @@ class PmSolver {
     az.assign(p.size(), 0.0);
     const double inv_cell = 1.0 / cell();
     const auto zslab0 = static_cast<double>(z0());
-    // Per-particle gather (24 reads per field) — light items, so a coarse
+    // Per-particle gather (8 reads per field) — light items, so a coarse
     // grain keeps chunk-claim traffic negligible relative to the work.
     dpp::for_each_index(
         backend_, p.size(),
@@ -237,9 +237,7 @@ class PmSolver {
           const double gx = p.x[i] * inv_cell;
           const double gy = p.y[i] * inv_cell;
           const double gz = p.z[i] * inv_cell - zslab0;
-          ax[i] = interp_field(fx, gx, gy, gz);
-          ay[i] = interp_field(fy, gx, gy, gz);
-          az[i] = interp_field(fz, gx, gy, gz);
+          interp_force(fx, fy, fz, gx, gy, gz, ax[i], ay[i], az[i]);
         },
         /*grain=*/1024);
   }
@@ -279,74 +277,87 @@ class PmSolver {
   }
 
  private:
+  /// One particle's cloud-in-cell stencil at grid position (gx, gy,
+  /// gz-local): the two wrapped x columns, the two wrapped y rows (as
+  /// offsets y·ng), the lower plane iz and the weights of each corner pair.
+  struct CicStencil {
+    long iz;
+    std::size_t xx[2], yy[2];
+    double wx[2], wy[2], wz[2];
+  };
+
+  CicStencil cic_stencil(double gx, double gy, double gz) const {
+    const long ix = static_cast<long>(std::floor(gx));
+    const long iy = static_cast<long>(std::floor(gy));
+    const long iz = static_cast<long>(std::floor(gz));
+    const double dx = gx - static_cast<double>(ix);
+    const double dy = gy - static_cast<double>(iy);
+    const double dz = gz - static_cast<double>(iz);
+    return {iz,
+            {wrap(ix), wrap(ix + 1)},
+            {wrap(iy) * ng_, wrap(iy + 1) * ng_},
+            {1.0 - dx, dx},
+            {1.0 - dy, dy},
+            {1.0 - dz, dz}};
+  }
+
+  /// Offset of plane zl in SlabField::data() layout (ghost plane first).
+  std::size_t plane_offset(long zl) const {
+    return static_cast<std::size_t>(zl + 1) * ng_ * ng_;
+  }
+
   /// CIC deposit of weight w at grid position (gx, gy, gz-local) into a
   /// slab-shaped accumulator (SlabField::data() layout: ghost plane, nzl
   /// owned planes, ghost plane). Takes the raw span so the parallel
   /// deposit can scatter into per-block private buffers.
   void deposit_cic(std::span<double> slab, double gx, double gy, double gz,
                    double w) const {
-    const long ix = static_cast<long>(std::floor(gx));
-    const long iy = static_cast<long>(std::floor(gy));
-    const long iz = static_cast<long>(std::floor(gz));
-    const double dx = gx - static_cast<double>(ix);
-    const double dy = gy - static_cast<double>(iy);
-    const double dz = gz - static_cast<double>(iz);
+    const CicStencil c = cic_stencil(gx, gy, gz);
+    // Owned planes are [0, nzl); deposits may spill one plane either way.
+    COSMO_REQUIRE(c.iz >= -1 && c.iz + 1 <= static_cast<long>(nzl()),
+                  "particle deposits beyond ghost planes — redistribute first");
     for (int cz = 0; cz < 2; ++cz) {
-      const long zz = iz + cz;
-      // Owned planes are [0, nzl); deposits may spill one plane either way.
-      COSMO_REQUIRE(zz >= -1 && zz <= static_cast<long>(nzl()),
-                    "particle deposits beyond ghost planes — redistribute first");
-      const double wz = cz ? dz : 1.0 - dz;
-      for (int cy = 0; cy < 2; ++cy) {
-        const std::size_t yy = wrap(iy + cy);
-        const double wy = cy ? dy : 1.0 - dy;
-        for (int cx = 0; cx < 2; ++cx) {
-          const std::size_t xx = wrap(ix + cx);
-          const double wx = cx ? dx : 1.0 - dx;
-          slab[static_cast<std::size_t>(zz + 1) * ng_ * ng_ + yy * ng_ + xx] +=
-              w * wx * wy * wz;
-        }
-      }
+      double* plane = slab.data() + plane_offset(c.iz + cz);
+      for (int cy = 0; cy < 2; ++cy)
+        for (int cx = 0; cx < 2; ++cx)
+          plane[c.yy[cy] + c.xx[cx]] += w * c.wx[cx] * c.wy[cy] * c.wz[cz];
     }
   }
 
-  /// CIC interpolation of a slab field at grid position (gx, gy, gz-local).
-  /// Reads planes [0, nzl] — the upper ghost plane must be valid.
-  double interp_field(const SlabField& f, double gx, double gy,
-                      double gz) const {
-    const long ix = static_cast<long>(std::floor(gx));
-    const long iy = static_cast<long>(std::floor(gy));
-    const long iz = static_cast<long>(std::floor(gz));
+  /// CIC interpolation of the three force components at grid position
+  /// (gx, gy, gz-local), sharing one stencil; each component sums its eight
+  /// corners in the same order. Reads planes [0, nzl] — the upper ghost
+  /// plane must be valid.
+  void interp_force(const SlabField& fx, const SlabField& fy,
+                    const SlabField& fz, double gx, double gy, double gz,
+                    double& ax, double& ay, double& az) const {
+    const CicStencil c = cic_stencil(gx, gy, gz);
     // Reads planes iz and iz+1; the slab (with ghosts) holds [-1, nzl].
     // A particle that drifted outside the slab would otherwise silently
     // read out-of-bounds heap — the deposit's matching guard fails fast.
-    COSMO_REQUIRE(iz >= -1 && iz + 1 <= static_cast<long>(f.nzl()),
+    COSMO_REQUIRE(c.iz >= -1 && c.iz + 1 <= static_cast<long>(nzl()),
                   "particle reads beyond ghost planes — redistribute first");
-    const double dx = gx - static_cast<double>(ix);
-    const double dy = gy - static_cast<double>(iy);
-    const double dz = gz - static_cast<double>(iz);
-    double acc = 0.0;
+    double sx = 0.0, sy = 0.0, sz = 0.0;
     for (int cz = 0; cz < 2; ++cz) {
-      const long zz = iz + cz;
-      const double wz = cz ? dz : 1.0 - dz;
-      for (int cy = 0; cy < 2; ++cy) {
-        const std::size_t yy = wrap(iy + cy);
-        const double wy = cy ? dy : 1.0 - dy;
+      const std::size_t plane = plane_offset(c.iz + cz);
+      for (int cy = 0; cy < 2; ++cy)
         for (int cx = 0; cx < 2; ++cx) {
-          const std::size_t xx = wrap(ix + cx);
-          const double wx = cx ? dx : 1.0 - dx;
-          acc += wx * wy * wz * f.at(xx, yy, zz);
+          const std::size_t j = plane + c.yy[cy] + c.xx[cx];
+          const double w = c.wx[cx] * c.wy[cy] * c.wz[cz];
+          sx += w * fx.data()[j];
+          sy += w * fy.data()[j];
+          sz += w * fz.data()[j];
         }
-      }
     }
-    return acc;
+    ax = sx;
+    ay = sy;
+    az = sz;
   }
 
+  /// i mod ng on the periodic axis, negative i included: ng is a power of
+  /// two (DistributedFft requires it), so a mask does the fold.
   std::size_t wrap(long i) const {
-    const auto n = static_cast<long>(ng_);
-    long r = i % n;
-    if (r < 0) r += n;
-    return static_cast<std::size_t>(r);
+    return static_cast<std::size_t>(i) & (ng_ - 1);
   }
 
   /// Sends the ghost planes' accumulated deposits back to their owners.

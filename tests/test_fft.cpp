@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -97,6 +99,60 @@ TEST(Fft1d, LengthOneIsIdentity) {
   EXPECT_DOUBLE_EQ(v[0].imag(), -1.25);
 }
 
+// fft_1d as it stood before it ran on per-length plans, kept verbatim as
+// the oracle: per-row bit reversal, each stage's twiddles by the
+// w *= wlen recurrence, and std::complex's product in the butterfly.
+void fft_1d_per_row_recurrence(std::span<Complex> data, bool inverse) {
+  const std::size_t n = data.size();
+  COSMO_REQUIRE(fft::is_pow2(n), "fft_1d length must be a power of two");
+  if (n <= 1) return;
+
+  // Bit-reversal permutation.
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const Complex wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Complex u = data[i + k];
+        const Complex v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+}
+
+// Every length from 1 to 1024, both directions, on random rows and on the
+// rows the previous transforms produced: fft_1d must return the oracle's
+// bits (signed zeros included), not merely its values to a tolerance.
+TEST(Fft1d, MatchesPerRowRecurrenceBitForBit) {
+  Rng rng(2015);
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    for (int row = 0; row < 3; ++row) {
+      std::vector<Complex> got(n);
+      for (auto& c : got) c = Complex(rng.normal(), rng.normal());
+      std::vector<Complex> want = got;
+      for (int pass = 0; pass < 4; ++pass) {
+        const bool inverse = (pass + row) % 2 == 1;
+        fft::fft_1d(got, inverse);
+        fft_1d_per_row_recurrence(want, inverse);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(Complex)), 0)
+            << "n " << n << " row " << row << " pass " << pass;
+      }
+    }
+  }
+}
+
 TEST(FreqIndex, SignedFrequencies) {
   EXPECT_EQ(fft::freq_index(0, 8), 0);
   EXPECT_EQ(fft::freq_index(3, 8), 3);
@@ -175,8 +231,7 @@ void inverse_reference(fft::Grid3& g) {
 
 struct DistFftRun {
   dpp::Backend backend = dpp::Backend::Serial;
-  std::size_t grain = 0;  // row and copy grain
-  bool stagger = false;   // ranks enter the transposes far apart
+  bool stagger = false;  // ranks enter the transposes far apart
 };
 
 // Transforms one random n³ field forward and back on P ranks and requires
@@ -197,8 +252,6 @@ void expect_matches_local(int P, std::size_t n, const DistFftRun& run) {
           std::chrono::milliseconds(3 * (P - 1 - c.rank())));
     fft::DistributedFft dfft(c, n);
     dfft.set_backend(run.backend);
-    dfft.set_row_grain(run.grain);
-    dfft.set_copy_grain(run.grain);
     const std::size_t nsl = dfft.slab_thickness();
     const std::size_t s0 = dfft.slab_start();
     // Real space: z-slab, x fastest.
@@ -225,6 +278,9 @@ void expect_matches_local(int P, std::size_t n, const DistFftRun& run) {
   });
 }
 
+// At n = 8 on a pool of 2 to 8 workers, the auto grain gives every row and
+// every pack/unpack pencil its own scheduler chunk (⌈n·nslab / (32 ·
+// workers)⌉ = 1), so the pooled runs execute one-row chunks out of order.
 TEST_P(DistFft, MatchesLocalTransform) {
   for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool})
     expect_matches_local(GetParam(), 8, {backend});
@@ -256,21 +312,13 @@ TEST_P(DistFft, RoundTripRecoversSlab) {
   });
 }
 
-TEST_P(DistFft, SmallGrainsStayBitExact) {
-  // Grain 1 maximizes chunk count (every row / pencil its own scheduler
-  // item), stressing out-of-order chunk execution in pack/unpack/rows.
-  for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool})
-    expect_matches_local(GetParam(), 8, {backend, /*grain=*/1});
-}
-
 TEST_P(DistFft, PipelinedOutOfOrderArrivalBitExact) {
   const int P = GetParam();
   if (P < 2) GTEST_SKIP();
   // Rank staggering reverses block arrival order relative to rank order;
   // the unpacks are source-addressed, so the result must not move.
   for (const auto backend : {dpp::Backend::Serial, dpp::Backend::ThreadPool})
-    for (const std::size_t grain : {std::size_t{0}, std::size_t{1}})
-      expect_matches_local(P, 8, {backend, grain, /*stagger=*/true});
+    expect_matches_local(P, 8, {backend, /*stagger=*/true});
 }
 
 TEST(DistFftConfig, DefaultsAndSetters) {
@@ -278,11 +326,7 @@ TEST(DistFftConfig, DefaultsAndSetters) {
     fft::DistributedFft dfft(c, 8);
     EXPECT_EQ(dfft.backend(), dpp::Backend::Serial);
     dfft.set_backend(dpp::Backend::ThreadPool);
-    dfft.set_row_grain(4);
-    dfft.set_copy_grain(2);
     EXPECT_EQ(dfft.backend(), dpp::Backend::ThreadPool);
-    EXPECT_EQ(dfft.row_grain(), 4u);
-    EXPECT_EQ(dfft.copy_grain(), 2u);
   });
 }
 

@@ -177,6 +177,89 @@ TEST_P(DecompRanks, RedistributeRoutesEveryParticleToItsOwner) {
   });
 }
 
+// redistribute as it stood before it routed each particle once, kept as the
+// reference: wrap every coordinate with fmod, find owners by stepping z
+// into the box, pack every particle (home ones included) by owner, and
+// unpack in source-rank order.
+ParticleSet redistribute_pack_all(comm::Comm& c, const SlabDecomposition& d,
+                                  ParticleSet local) {
+  const auto box = static_cast<float>(d.box());
+  auto wrap = [box](float& v) {
+    v = std::fmod(v, box);
+    if (v < 0.0f) v += box;
+    if (v >= box) v -= box;
+  };
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    wrap(local.x[i]);
+    wrap(local.y[i]);
+    wrap(local.z[i]);
+  }
+  auto owner = [&](double zz) {
+    while (zz < 0.0) zz += d.box();
+    while (zz >= d.box()) zz -= d.box();
+    int r = static_cast<int>(zz / d.slab_thickness());
+    if (r >= d.nranks()) r = d.nranks() - 1;
+    return r;
+  };
+  std::vector<std::vector<PackedParticle>> send(
+      static_cast<std::size_t>(d.nranks()));
+  for (std::size_t i = 0; i < local.size(); ++i)
+    send[static_cast<std::size_t>(owner(local.z[i]))].push_back(
+        pack_particle(local, i));
+  auto recv = c.alltoallv(send);
+  ParticleSet owned;
+  for (const auto& buf : recv)
+    for (const auto& w : buf) unpack_particle(w, owned);
+  return owned;
+}
+
+bool same_particles(const ParticleSet& a, const ParticleSet& b) {
+  auto same = [](const auto& u, const auto& v) {
+    return u.size() == v.size() &&
+           std::memcmp(u.data(), v.data(), u.size() * sizeof(u[0])) == 0;
+  };
+  return same(a.x, b.x) && same(a.y, b.y) && same(a.z, b.z) &&
+         same(a.vx, b.vx) && same(a.vy, b.vy) && same(a.vz, b.vz) &&
+         same(a.phi, b.phi) && same(a.tag, b.tag);
+}
+
+// redistribute's output order is part of the PM path's bits (the deposit
+// sums particles in that order): source ranks ascending, each source's
+// particles in its local order. Particles sit on and just below every slab
+// face, on the box faces, at −0, at z that rounds to the box in float, and
+// far outside the box.
+TEST_P(DecompRanks, RedistributeKeepsTheOrder) {
+  const int P = GetParam();
+  const double box = 64.0;
+  comm::run_spmd(P, [&](comm::Comm& c) {
+    SlabDecomposition d(P, box);
+    ParticleSet mine;
+    Rng rng(91 + static_cast<std::uint64_t>(c.rank()));
+    std::int64_t tag = c.rank() * 100000;
+    auto add = [&](float x, float y, float z) {
+      const auto v = static_cast<float>(rng.normal());
+      const std::int64_t t = tag++;
+      mine.push_back(x, y, z, v, -v, 2 * v, t, static_cast<float>(t));
+    };
+    for (int r = 0; r <= P; ++r) {
+      const auto face = static_cast<float>(d.z_lo(r));
+      add(face, face, face);
+      add(std::nextafter(face, 0.0f), 1.0f, std::nextafter(face, 0.0f));
+      add(1.0f, std::nextafter(face, 100.0f), std::nextafter(face, 100.0f));
+    }
+    for (const float z : {-0.0f, -1.0e-7f, static_cast<float>(63.99999999),
+                          64.0f, -64.0f, 128.0f, -1.0e6f, 3.0e7f})
+      add(z, 2.0f, z);
+    for (int i = 0; i < 600; ++i)
+      add(static_cast<float>(rng.uniform(-box, 2 * box)),
+          static_cast<float>(rng.uniform(0, box)),
+          static_cast<float>(rng.uniform(-box, 2 * box)));
+    const ParticleSet want = redistribute_pack_all(c, d, mine);
+    const ParticleSet got = d.redistribute(c, mine);
+    EXPECT_TRUE(same_particles(got, want)) << "rank " << c.rank();
+  });
+}
+
 TEST_P(DecompRanks, OverloadGhostsComeFromAdjacentBoundary) {
   const int P = GetParam();
   const double box = 64.0;
@@ -225,6 +308,26 @@ TEST(Decomp, OwnerOfWrapsPeriodically) {
   EXPECT_EQ(d.owner_of(63.9), 3);
   EXPECT_EQ(d.owner_of(64.0), 0);
   EXPECT_EQ(d.owner_of(-0.5), 3);
+}
+
+// NaN has no owner (its cast to int is undefined) and ±inf never folds
+// into the box.
+TEST(Decomp, OwnerOfRejectsNonFinite) {
+  SlabDecomposition d(4, 64.0);
+  EXPECT_THROW(d.owner_of(std::numeric_limits<double>::quiet_NaN()), Error);
+  EXPECT_THROW(d.owner_of(std::numeric_limits<double>::infinity()), Error);
+  EXPECT_THROW(d.owner_of(-std::numeric_limits<double>::infinity()), Error);
+}
+
+// One fmod folds any finite z: stepping by the box took minutes for ±1e15
+// and never returned for 1e20.
+TEST(Decomp, OwnerOfFoldsHugeZPromptly) {
+  SlabDecomposition d(4, 64.0);
+  EXPECT_EQ(d.owner_of(1.0e15), 0);  // 1e15 = 64 · 15625000000000
+  EXPECT_EQ(d.owner_of(-1.0e15), 0);
+  EXPECT_EQ(d.owner_of(1.0e15 + 40.0), 2);
+  EXPECT_EQ(d.owner_of(-1.0e15 - 8.0), 3);
+  EXPECT_EQ(d.owner_of(1.0e20), 0);  // 1e20 = 2^20 · 5^20 exactly
 }
 
 class PmRanks : public ::testing::TestWithParam<int> {};
@@ -559,6 +662,43 @@ TEST(Simulation, RunsAndGrowsStructure) {
     var1 = c.allreduce_value(var1, comm::ReduceOp::Sum);
     EXPECT_GT(var1, 2.0 * var0) << "no gravitational growth observed";
   });
+}
+
+// CRC32 of a small PM run's final particles: every rank's x, y, z, vx, vy,
+// vz and tag, chained in rank order. The rank count changes the deposit's
+// summation order, so each rank count has its own golden.
+std::uint32_t final_particles_crc(int ranks) {
+  std::vector<ParticleSet> finals(static_cast<std::size_t>(ranks));
+  comm::run_spmd(ranks, [&](comm::Comm& c) {
+    Cosmology cosmo;
+    SimulationConfig cfg;
+    cfg.ic.ng = 32;
+    cfg.steps = 8;
+    Simulation simulation(c, cosmo, cfg);
+    finals[static_cast<std::size_t>(c.rank())] = simulation.run();
+  });
+  std::uint32_t crc = 0;
+  auto chain = [&](const auto& v) {
+    crc = crc32(v.data(), v.size() * sizeof(v[0]), crc);
+  };
+  for (const auto& p : finals) {
+    chain(p.x);
+    chain(p.y);
+    chain(p.z);
+    chain(p.vx);
+    chain(p.vy);
+    chain(p.vz);
+    chain(p.tag);
+  }
+  return crc;
+}
+
+// The PM path's bits — deposit, FFT solve, force interpolation, kick/drift
+// and redistribute — pinned at P = 1, 2 and 4.
+TEST(Simulation, FinalParticlesMatchGolden) {
+  EXPECT_EQ(final_particles_crc(1), 0x585940D4u) << "P = 1 drifted";
+  EXPECT_EQ(final_particles_crc(2), 0xEBAB6B86u) << "P = 2 drifted";
+  EXPECT_EQ(final_particles_crc(4), 0x704BE78Fu) << "P = 4 drifted";
 }
 
 // CRC32 of the particle state for a fixed seed at a fixed rank count
