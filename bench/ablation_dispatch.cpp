@@ -1,11 +1,4 @@
-// Ablation: dispatch costs in the in-situ framework, two layers.
-//
-// Part 1 — virtual dispatch (InSituAnalysisManager) vs CRTP-style static
-// dispatch (StaticPipeline). §3.1: "There is a very small overhead for the
-// virtual function calls, which could in principle be avoided by using the
-// Curiously Recurring Template Pattern." This quantifies "very small".
-//
-// Part 2 — concurrent parallel_for dispatch: several SPMD ranks drive the
+// Ablation: concurrent parallel_for dispatch — several SPMD ranks drive the
 // process-wide dpp worker pool at once, the co-scheduling scenario the
 // paper's in-situ analysis lives in. Measures aggregate throughput, the
 // dpp.dispatch_wait tail, and (with the work-stealing scheduler) steal
@@ -13,33 +6,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.h"
-#include "core/static_pipeline.h"
 #include "dpp/primitives.h"
-#include "sim/synthetic.h"
 #include "util/timer.h"
 
 using namespace cosmo;
 
 namespace {
-
-/// Deliberately trivial algorithm: dispatch overhead dominates. The
-/// volatile accumulator keeps the optimizer from collapsing the static
-/// pipeline's loop entirely.
-class TinyAlgorithm : public core::InSituAlgorithm {
- public:
-  void SetParameters(const core::ParameterMap&) override {}
-  bool ShouldExecute(const sim::StepContext& s) const override {
-    return s.step % 2 == 0 || s.step == s.total_steps;
-  }
-  void Execute(const sim::StepContext& s, core::AnalysisContext& ctx) override {
-    acc_ = acc_ + static_cast<double>(ctx.particles->size() + s.step % 3);
-  }
-  std::string Name() const override { return "tiny"; }
-  volatile double acc_ = 0.0;
-};
 
 /// One concurrent-dispatch scenario: `ranks` SPMD ranks each issue
 /// `dispatches` parallel_for calls over their own item count. Per-item work
@@ -121,77 +95,10 @@ ConcurrentStats run_concurrent(int ranks, int dispatches,
 int main(int argc, char** argv) {
   bench_common::ObsSession obs_session(argc, argv);
   bench_common::print_header(
-      "Ablation — virtual vs CRTP dispatch for the in-situ framework",
-      "§3.1 (virtual-call overhead / CRTP footnote)");
+      "Ablation — concurrent parallel_for dispatch (co-scheduled ranks "
+      "sharing the dpp pool)",
+      "§3.1 (in-situ analysis sharing the simulation's cores)");
 
-  const std::size_t steps = 2000000;
-  comm::run_spmd(1, [&](comm::Comm& c) {
-    sim::SlabDecomposition decomp(1, 64.0);
-    sim::ParticleSet particles(8);
-    core::CosmoToolsConfig empty = core::CosmoToolsConfig::parse("");
-
-    // Virtual path: the production manager.
-    core::InSituAnalysisManager manager(c, decomp, 64.0, 8);
-    manager.add(std::make_unique<TinyAlgorithm>());
-    manager.configure(empty);
-    WallTimer tv;
-    for (std::size_t s = 1; s <= steps; ++s) {
-      sim::StepContext step{s, steps, 1.0, 0.0};
-      manager.execute_step(step, particles);
-    }
-    const double virtual_s = tv.seconds();
-
-    // Static path: same algorithm type, compile-time pipeline.
-    core::StaticPipeline<TinyAlgorithm> pipeline;
-    pipeline.configure(empty);
-    core::AnalysisContext ctx;
-    ctx.comm = &c;
-    ctx.decomp = &decomp;
-    ctx.particles = &particles;
-    ctx.box = 64.0;
-    WallTimer ts;
-    for (std::size_t s = 1; s <= steps; ++s) {
-      sim::StepContext step{s, steps, 1.0, 0.0};
-      pipeline.execute_step(step, ctx);
-    }
-    const double static_s = ts.seconds();
-
-    const double safe_static = std::max(static_s, 1e-9);
-    TextTable t({"dispatch", "total (s)", "ns/step", "relative"});
-    t.add_row({"virtual (manager)", TextTable::num(virtual_s, 3),
-               TextTable::num(virtual_s / steps * 1e9, 1),
-               TextTable::num(virtual_s / safe_static, 2)});
-    t.add_row({"CRTP (StaticPipeline)", TextTable::num(static_s, 3),
-               TextTable::num(static_s / steps * 1e9, 1), "1.00"});
-    t.print(std::cout);
-
-    // Context: one realistic analysis step for scale.
-    sim::Cosmology cosmo;
-    sim::SyntheticConfig ucfg;
-    ucfg.box = 64.0;
-    ucfg.halo_count = 20;
-    ucfg.max_particles = 2000;
-    auto u = sim::generate_synthetic(c, cosmo, ucfg);
-    core::InSituAnalysisManager real(c, decomp, ucfg.box, u.total_particles);
-    core::register_halo_pipeline(real);
-    real.configure(core::CosmoToolsConfig::parse(
-        "[halofinder]\nlinking_length 0.3\noverload 2.0\n"
-        "[subhalos]\nenabled false\n"));
-    WallTimer tr;
-    sim::StepContext one{1, 1, 1.0, 0.0};
-    real.execute_step(one, u.local);
-    std::printf("\none realistic halo-pipeline step: %.3f s — dispatch "
-                "overhead is ~%.5f%% of it.\n"
-                "conclusion (as the paper implies): keep the flexible "
-                "virtual interface; CRTP is available when a pipeline is "
-                "fixed at compile time.\n",
-                tr.seconds(),
-                100.0 * (virtual_s - static_s) / steps / tr.seconds());
-  });
-
-  // ---- Part 2: concurrent SPMD parallel_for dispatch -----------------------
-  std::printf("\n=== Concurrent parallel_for dispatch (co-scheduled ranks "
-              "sharing the dpp pool) ===\n");
   const bool work_stealing = [] {
     // Probe: the work-stealing scheduler registers dpp.steals on first use.
     dpp::ThreadPool::instance().parallel_for(

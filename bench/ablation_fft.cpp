@@ -1,10 +1,7 @@
 // Ablation: the distributed-FFT transposes, standalone and co-scheduled.
 //
-// The PM solve's comm phase is two all-to-all transposes per FFT direction.
-// Each transpose posts every pencil block through an AlltoallvFlatSession
-// the moment it finishes packing and unpacks blocks as they arrive, so most
-// of the exchange hides behind the packing of later blocks
-// (comm.a2a_blocks_overlapped counts the hidden fraction).
+// The PM solve's comm phase is two all-to-all transposes, one per FFT
+// direction.
 //
 // Scenarios: Serial vs ThreadPool standalone, and ThreadPool co-scheduled
 // with analysis driver threads hammering the shared pool (the paper's
@@ -51,7 +48,6 @@ struct FftStats {
   double wall_s = 0.0;
   double exchange_s = 0.0;        // fft.exchange span total (all ranks)
   std::uint64_t recv_wait_us = 0; // comm.recv_wait_us during the FFT phase
-  std::uint64_t overlapped = 0;   // comm.a2a_blocks_overlapped
   std::uint32_t crc = 0;          // combined k-space CRC across ranks
 };
 
@@ -76,8 +72,6 @@ FftStats median_stats(const std::vector<FftStats>& runs) {
   m.exchange_s = field([](const FftStats& s) { return s.exchange_s; });
   m.recv_wait_us = static_cast<std::uint64_t>(
       field([](const FftStats& s) { return static_cast<double>(s.recv_wait_us); }));
-  m.overlapped = static_cast<std::uint64_t>(
-      field([](const FftStats& s) { return static_cast<double>(s.overlapped); }));
   m.crc = runs.front().crc;
   return m;
 }
@@ -158,8 +152,6 @@ FftStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
   s.exchange_s = span_total("fft.exchange") - exchange_before;
   if (reg.has_counter("comm.recv_wait_us"))
     s.recv_wait_us = reg.counter("comm.recv_wait_us").total();
-  if (reg.has_counter("comm.a2a_blocks_overlapped"))
-    s.overlapped = reg.counter("comm.a2a_blocks_overlapped").total();
   return s;
 }
 
@@ -181,12 +173,11 @@ int main(int argc, char** argv) {
   bool bit_identical = serial.crc == pooled.crc;
   for (const auto& r : co_runs) bit_identical &= serial.crc == r.crc;
 
-  TextTable t({"scenario", "wall (s)", "recv wait (ms)", "overlapped",
-               "exchange (s)"});
+  TextTable t({"scenario", "wall (s)", "recv wait (ms)", "exchange (s)"});
   auto add = [&](const char* name, const FftStats& s) {
     t.add_row({name, TextTable::num(s.wall_s, 3),
                TextTable::num(static_cast<double>(s.recv_wait_us) / 1e3, 2),
-               std::to_string(s.overlapped), TextTable::num(s.exchange_s, 3)});
+               TextTable::num(s.exchange_s, 3)});
   };
   add("serial", serial);
   add("pooled", pooled);

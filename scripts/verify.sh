@@ -14,13 +14,13 @@
 #   scripts/verify.sh --tsan   ThreadSanitizer pass over the concurrency
 #                              layer: builds test_dpp (scheduler + the
 #                              concurrent-dispatch/nesting/stealing stress
-#                              tests), test_comm (mailbox + incremental
-#                              all-to-all sessions), test_fft
-#                              (pipelined transpose: concurrent
-#                              pack/exchange/unpack), test_faults (fault
-#                              injection on the comm/listener/staging hot
-#                              paths, including the coordinated-abort
-#                              collectives), test_halo_parallel (the
+#                              tests), test_comm (mailbox + the one
+#                              all-to-all loop), test_fft (the transposes
+#                              on that loop, pack/unpack on the pool),
+#                              test_faults (fault injection on the
+#                              comm/listener/staging hot paths, including
+#                              the coordinated-abort collectives),
+#                              test_halo_parallel (the
 #                              per-halo fan-out, the symmetric MBP kernel
 #                              run as one pool task per halo
 #                              (SymmetricMbpKernel.*), parallel FOF linking
@@ -43,7 +43,9 @@
 #                              arithmetic: builds test_dpp (deposit_reduce's
 #                              private buffers, its Serial one-buffer
 #                              blocks, slice merge and block ranges,
-#                              for_each_chunk's ranges), test_fft (the
+#                              for_each_chunk's ranges), test_comm (the
+#                              all-to-all loop reading each payload in
+#                              place as its element type), test_fft (the
 #                              per-length plans' swap and twiddle tables,
 #                              the transposes' pack/unpack index
 #                              arithmetic), test_halo
@@ -107,8 +109,9 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   build_dir="${BUILD_DIR:-$repo_root/build-asan}"
-  asan_tests=(test_dpp test_fft test_halo test_halo_parallel test_halo_shape
-    test_robustness test_io test_campaign test_faults test_sim)
+  asan_tests=(test_dpp test_comm test_fft test_halo test_halo_parallel
+    test_halo_shape test_robustness test_io test_campaign test_faults
+    test_sim)
   build_lane "$build_dir" COSMO_ASAN "${asan_tests[@]}"
   for t in "${asan_tests[@]}"; do
     UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" "$build_dir/tests/$t"

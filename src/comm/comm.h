@@ -18,13 +18,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <new>
 #include <span>
 #include <string>
 #include <thread>
@@ -68,27 +67,6 @@ class Mailbox {
           return msg;
         }
       }
-      cv_.wait(lock);
-    }
-  }
-
-  /// Takes the earliest message with `tag` whose source has wanted[source]
-  /// set — the any-source matching the incremental all-to-all session drains
-  /// with. Per-source FIFO still holds: for any single source the earliest
-  /// overall match is also that source's earliest message. Non-blocking when
-  /// `block` is false (returns nullopt if nothing matches right now).
-  std::optional<Message> take_any(int tag, std::span<const std::uint8_t> wanted,
-                                  bool block) {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->tag == tag && wanted[static_cast<std::size_t>(it->source)]) {
-          Message msg = std::move(*it);
-          queue_.erase(it);
-          return msg;
-        }
-      }
-      if (!block) return std::nullopt;
       cv_.wait(lock);
     }
   }
@@ -293,29 +271,47 @@ class Comm {
   }
 
   /// Personalized all-to-all: send[dest] goes to rank dest; returns one
-  /// buffer per source rank. This is the redistribution workhorse (particle
-  /// exchange); the FFT transposes use the incremental AlltoallvFlatSession.
+  /// buffer per source rank. The particle exchange, the FOF overload and
+  /// the PM ghost planes run on it; it is exchange() copying each block in.
   template <typename T>
   std::vector<std::vector<T>> alltoallv(
       const std::vector<std::vector<T>>& send) {
     COSMO_REQUIRE(static_cast<int>(send.size()) == size(),
                   "alltoallv needs one buffer per destination rank");
+    std::vector<std::vector<T>> recv(static_cast<std::size_t>(size()));
+    exchange<T>(
+        [&](int dest) {
+          return std::span<const T>(send[static_cast<std::size_t>(dest)]);
+        },
+        [&](int src, std::span<const T> block) {
+          auto& buf = recv[static_cast<std::size_t>(src)];
+          buf.assign(block.begin(), block.end());
+        });
+    return recv;
+  }
+
+  /// The one all-to-all loop, under alltoallv and the FFT transposes.
+  /// pack(dest) returns the std::span<const T> for rank dest; it is copied
+  /// into the message before the next pack, so every pack may refill one
+  /// buffer. Destinations are staggered so mailboxes fill evenly, self
+  /// last. unpack(src, block) then runs once per source: first on the self
+  /// block as pack returned it, then on each peer's block in source order,
+  /// read in place from the received message. Every pack has run before
+  /// the first unpack, so an unpack may overwrite what the packs read.
+  template <typename T, typename Pack, typename Unpack>
+  void exchange(Pack&& pack, Unpack&& unpack) {
     COSMO_COUNT("comm.alltoallv", 1);
-    // Stagger destinations so mailboxes fill roughly evenly.
-    for (int step = 0; step < size(); ++step) {
-      const int dest = (rank_ + step) % size();
-      if (dest == rank_) continue;
-      send_raw(dest, kTagAllToAll,
-               std::span<const T>(send[static_cast<std::size_t>(dest)]));
+    const int P = size();
+    for (int step = 1; step < P; ++step) {
+      const int dest = (rank_ + step) % P;
+      send_raw(dest, kTagAllToAll, std::span<const T>(pack(dest)));
     }
-    std::vector<std::vector<T>> recv_bufs(static_cast<std::size_t>(size()));
-    recv_bufs[static_cast<std::size_t>(rank_)] =
-        send[static_cast<std::size_t>(rank_)];
-    for (int src = 0; src < size(); ++src) {
+    unpack(rank_, std::span<const T>(pack(rank_)));
+    for (int src = 0; src < P; ++src) {
       if (src == rank_) continue;
-      recv_bufs[static_cast<std::size_t>(src)] = recv_raw<T>(src, kTagAllToAll);
+      const detail::Message msg = take(src, kTagAllToAll);
+      unpack(src, payload_as<T>(msg));
     }
-    return recv_bufs;
   }
 
   /// Inclusive scan of a scalar across ranks (rank r gets op over ranks 0..r).
@@ -334,9 +330,6 @@ class Comm {
   }
 
  private:
-  template <typename U>
-  friend class AlltoallvFlatSession;
-
   static constexpr int kTagBarrierIn = -1;
   static constexpr int kTagBarrierOut = -2;
   static constexpr int kTagBcast = -3;
@@ -344,7 +337,6 @@ class Comm {
   static constexpr int kTagGather = -5;
   static constexpr int kTagAllToAll = -6;
   static constexpr int kTagScan = -7;
-  static constexpr int kTagAllToAllPipe = -8;
 
   template <typename T>
   static T combine(T a, T b, ReduceOp op) {
@@ -399,7 +391,14 @@ class Comm {
 
   template <typename T>
   std::vector<T> recv_raw(int source, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    const detail::Message msg = take(source, tag);
+    const std::span<const T> data = payload_as<T>(msg);
+    return std::vector<T>(data.begin(), data.end());
+  }
+
+  /// Blocks until a message with matching (source, tag) arrives. Every
+  /// receive waits here, so comm.recv_wait_us times every wait.
+  detail::Message take(int source, int tag) {
     COSMO_REQUIRE(source >= 0 && source < size(), "source rank out of range");
 #ifndef COSMO_OBS_DISABLED
     WallTimer wait_timer;
@@ -411,168 +410,26 @@ class Comm {
     COSMO_COUNT("comm.msgs_recv", 1);
     COSMO_COUNT("comm.bytes_recv", msg.payload.size());
 #endif
+    return msg;
+  }
+
+  /// A message's payload read in place as elements of T. Its storage is a
+  /// std::byte array from operator new, aligned for any such T, which
+  /// implicitly creates the T objects whose bytes send_raw copied in;
+  /// std::launder reaches them.
+  template <typename T>
+  static std::span<const T> payload_as(const detail::Message& msg) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
     COSMO_REQUIRE(msg.payload.size() % sizeof(T) == 0,
                   "message size not a multiple of element size");
-    std::vector<T> out(msg.payload.size() / sizeof(T));
-    if (!out.empty())
-      std::memcpy(out.data(), msg.payload.data(), msg.payload.size());
-    return out;
+    if (msg.payload.empty()) return {};
+    return {std::launder(reinterpret_cast<const T*>(msg.payload.data())),
+            msg.payload.size() / sizeof(T)};
   }
 
   World* world_;
   int rank_;
-};
-
-/// Incremental personalized all-to-all — the exchange under the distributed
-/// FFT's transposes. Where alltoallv needs every send buffer up front and
-/// returns every receive buffer at once, a session lets the caller
-///   * post_block(d, span)  — ship destination d's block the moment it is
-///     ready (producers overlap packing with the exchange),
-///   * prefetch()           — non-blocking: move every landed block out of
-///     the mailbox into the session (payload moves only — cheap enough to
-///     call between packs without delaying the caller's own posts),
-///   * finish(on_block)     — block until every remaining source block has
-///     arrived (payload moves only — no unpack compute runs while peers are
-///     still packing), then deliver the self block and every peer block in
-///     arrival order.
-/// on_block(src, span<const T>) is invoked exactly once per source rank;
-/// callers that need a deterministic result must write each block to a
-/// source-addressed (disjoint) region, as the FFT transposes do.
-///
-/// Matching mirrors the collectives' contract: every rank opens sessions in
-/// the same order, each session consumes exactly one block per source (the
-/// mailbox's per-source FIFO keeps back-to-back sessions from stealing each
-/// other's blocks), and the self block never touches the mailbox. Blocks
-/// that prefetch found already landed are counted as
-/// comm.a2a_blocks_overlapped — the hidden fraction of the exchange.
-template <typename T>
-class AlltoallvFlatSession {
- public:
-  /// `recv_counts[s]` = elements rank s will send to this rank (element
-  /// count of each on_block span). One session per collective exchange.
-  AlltoallvFlatSession(Comm& comm, std::span<const std::size_t> recv_counts)
-      : comm_(&comm),
-        recv_counts_(recv_counts.begin(), recv_counts.end()),
-        wanted_(static_cast<std::size_t>(comm.size()), std::uint8_t{0}),
-        posted_(static_cast<std::size_t>(comm.size()), std::uint8_t{0}),
-        peers_remaining_(static_cast<std::size_t>(comm.size()) - 1) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    COSMO_REQUIRE(static_cast<int>(recv_counts_.size()) == comm.size(),
-                  "session needs one recv count per rank");
-    // Mailbox matching starts wanting every peer; the self block is
-    // delivered out of band by finish.
-    for (int r = 0; r < comm.size(); ++r)
-      wanted_[static_cast<std::size_t>(r)] = r != comm.rank();
-    COSMO_COUNT("comm.alltoallv_sessions", 1);
-  }
-
-  AlltoallvFlatSession(const AlltoallvFlatSession&) = delete;
-  AlltoallvFlatSession& operator=(const AlltoallvFlatSession&) = delete;
-
-  /// Ships destination `dest`'s block. Buffered-send semantics: the data is
-  /// copied out immediately, so the caller may reuse the span's storage for
-  /// the next block. Each destination must be posted exactly once; the self
-  /// block must match this rank's own recv count, as every peer block must
-  /// when it is delivered.
-  void post_block(int dest, std::span<const T> block) {
-    COSMO_REQUIRE(dest >= 0 && dest < comm_->size(), "destination out of range");
-    const auto d = static_cast<std::size_t>(dest);
-    COSMO_REQUIRE(!posted_[d], "session block posted twice");
-    if (dest == comm_->rank()) {
-      COSMO_REQUIRE(block.size() == recv_counts_[d],
-                    "session block size does not match recv count");
-      self_.assign(block.begin(), block.end());
-      self_pending_ = true;
-    } else {
-      comm_->send_raw(dest, Comm::kTagAllToAllPipe, block);
-    }
-    posted_[d] = 1;
-    ++posted_count_;
-  }
-
-  /// Non-blocking receive WITHOUT delivery: moves every landed source block
-  /// out of the mailbox into the session's stash (payload pointer moves, no
-  /// copy). Cheap enough to call between packs: it never runs the caller's
-  /// unpack in the middle of the producing loop, so the caller's own posts
-  /// are not delayed behind consume work. Stashed blocks are delivered (in
-  /// arrival order) by finish. Returns the number of blocks stashed.
-  std::size_t prefetch() {
-    std::size_t taken = 0;
-    while (peers_remaining_ > stash_.size()) {
-      auto msg = comm_->world_->box(comm_->rank())
-                     .take_any(Comm::kTagAllToAllPipe, wanted_, false);
-      if (!msg) break;
-      COSMO_COUNT("comm.a2a_blocks_overlapped", 1);
-      COSMO_COUNT("comm.msgs_recv", 1);
-      COSMO_COUNT("comm.bytes_recv", msg->payload.size());
-      wanted_[static_cast<std::size_t>(msg->source)] = 0;
-      stash_.push_back(std::move(*msg));
-      ++taken;
-    }
-    return taken;
-  }
-
-  /// Blocking drain of every outstanding source block. All destinations must
-  /// have been posted first (a rank that blocked here without sending would
-  /// deadlock its peers). Every outstanding block is received (payload moves
-  /// only) BEFORE any on_block runs: while this rank waits, the stragglers
-  /// it waits on are still packing, and interposing consume work between
-  /// takes would slow exactly those peers whenever cores are shared (the
-  /// co-scheduled regime). Payload moves are the only work inside the timed
-  /// window, so comm.recv_wait_us measures pure block availability. After
-  /// finish the session is complete.
-  template <typename F>
-  void finish(F&& on_block) {
-    COSMO_REQUIRE(posted_count_ == comm_->size(),
-                  "session finish before every block was posted");
-    while (stash_.size() < peers_remaining_) {
-#ifndef COSMO_OBS_DISABLED
-      WallTimer wait_timer;
-#endif
-      auto msg = comm_->world_->box(comm_->rank())
-                     .take_any(Comm::kTagAllToAllPipe, wanted_, true);
-#ifndef COSMO_OBS_DISABLED
-      COSMO_COUNT("comm.recv_wait_us",
-                  static_cast<std::uint64_t>(wait_timer.seconds() * 1e6));
-#endif
-      COSMO_COUNT("comm.msgs_recv", 1);
-      COSMO_COUNT("comm.bytes_recv", msg->payload.size());
-      wanted_[static_cast<std::size_t>(msg->source)] = 0;
-      stash_.push_back(std::move(*msg));
-    }
-    if (self_pending_) {
-      self_pending_ = false;
-      on_block(comm_->rank(), std::span<const T>(self_));
-      self_.clear();
-      self_.shrink_to_fit();
-    }
-    // Stashed blocks in arrival order.
-    for (auto& msg : stash_) deliver(std::move(msg), on_block);
-    stash_.clear();
-  }
-
- private:
-  template <typename F>
-  void deliver(detail::Message&& msg, F& on_block) {
-    const int src = msg.source;
-    const std::size_t count = recv_counts_[static_cast<std::size_t>(src)];
-    COSMO_REQUIRE(msg.payload.size() == count * sizeof(T),
-                  "session block size does not match recv count");
-    on_block(src,
-             std::span<const T>(
-                 reinterpret_cast<const T*>(msg.payload.data()), count));
-    --peers_remaining_;
-  }
-
-  Comm* comm_;
-  std::vector<std::size_t> recv_counts_;
-  std::vector<std::uint8_t> wanted_;  // mailbox sources still outstanding
-  std::vector<std::uint8_t> posted_;  // destinations already posted
-  std::vector<T> self_;               // copy of the self block until delivery
-  bool self_pending_ = false;
-  int posted_count_ = 0;
-  std::size_t peers_remaining_;  // mailbox blocks not yet delivered
-  std::vector<detail::Message> stash_;  // prefetched, undelivered blocks
 };
 
 /// Runs `body` as an SPMD program on `nranks` rank-threads and joins them.

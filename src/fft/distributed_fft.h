@@ -11,13 +11,9 @@
 //   k space slab:     index = (ky_local*n + kx)*n + kz     (kz fastest)
 //
 // Execution: the per-pencil 1-D row transforms and the transpose pack/unpack
-// copy loops dispatch on the dpp pool (set_backend). Each transpose is
-// pipelined: every destination block goes out through an incremental
-// AlltoallvFlatSession the moment it finishes packing, blocks that land
-// meanwhile are moved out of the mailbox between packs (prefetch), and each
-// source block is unpacked by the blocking finish after the last post.
-// Receives that landed during packing never show up in comm.recv_wait_us —
-// the overlap hides most of the exchange.
+// copy loops dispatch on the dpp pool (set_backend). Each transpose is one
+// Comm::exchange: every destination's block is packed into one reused
+// scratch and sent, then every source's block is unpacked into the slab.
 // Both backends produce output bit-identical to the local fft_3d: every
 // unpack writes a source-addressed disjoint region, every row transform owns
 // its row and runs the same passes in the same order, and block boundaries
@@ -26,6 +22,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "comm/comm.h"
@@ -215,50 +212,31 @@ class DistributedFft {
   /// Redistributes z-slabs (x fastest) to ky-slabs (kz fastest) when
   /// `z_to_y` — element (z, y, x) moves to the rank owning y, landing at
   /// (y_local, x, z) — and back otherwise. Every peer owns an equal slab, so
-  /// each rank exchanges nslab²·n elements with each peer. One block-sized
-  /// pack scratch is reused per destination (post_block copies into the
-  /// message payload immediately); arrived source blocks are drained out of
-  /// the mailbox between packs (prefetch: payload moves only, so this rank's
-  /// remaining posts are never delayed behind unpack compute) and unpacked
-  /// in arrival order by finish. Unpacks target `out` rather than `slab`
-  /// because later packs still read `slab`. Every unpack writes a
-  /// source-addressed disjoint region of `out`, so arrival order cannot
-  /// change the result.
+  /// each rank exchanges nslab²·n elements with each peer. Every block is
+  /// packed into one scratch before the first unpack runs, so the unpacks
+  /// write straight into `slab`, each into a source-addressed disjoint
+  /// region.
   void transpose(std::vector<Complex>& slab, bool z_to_y) {
-    const int P = comm_->size();
-    const int rank = comm_->rank();
     const std::size_t block = nslab_ * n_ * nslab_;
-    const std::vector<std::size_t> counts(static_cast<std::size_t>(P), block);
-    std::vector<Complex> out(local_size());
     std::vector<Complex> scratch(block);
-    comm::AlltoallvFlatSession<Complex> session(*comm_, counts);
-    auto unpack = [&](int s, std::span<const Complex> buf) {
-      COSMO_TRACE_SPAN_CAT("fft.unpack", "fft");
-      COSMO_REQUIRE(buf.size() == block, "transpose block size mismatch");
-      if (z_to_y)
-        unpack_z_to_y(buf.data(), s, out.data());
-      else
-        unpack_y_to_z(buf.data(), s, out.data());
-    };
-    // Stagger destinations (self last): every peer starts receiving its
-    // block up to P−1 pack-times before this rank's last pack finishes.
-    for (int step = 1; step <= P; ++step) {
-      const int d = (rank + step) % P;
-      {
-        COSMO_TRACE_SPAN_CAT("fft.pack", "fft");
-        if (z_to_y)
-          pack_z_to_y(slab, d, scratch.data());
-        else
-          pack_y_to_z(slab, d, scratch.data());
-      }
-      session.post_block(d, std::span<const Complex>(scratch));
-      session.prefetch();
-    }
-    {
-      COSMO_TRACE_SPAN_CAT("fft.exchange", "fft");
-      session.finish(unpack);
-    }
-    slab.swap(out);
+    COSMO_TRACE_SPAN_CAT("fft.exchange", "fft");
+    comm_->exchange<Complex>(
+        [&](int d) {
+          COSMO_TRACE_SPAN_CAT("fft.pack", "fft");
+          if (z_to_y)
+            pack_z_to_y(slab, d, scratch.data());
+          else
+            pack_y_to_z(slab, d, scratch.data());
+          return std::span<const Complex>(scratch);
+        },
+        [&](int s, std::span<const Complex> buf) {
+          COSMO_TRACE_SPAN_CAT("fft.unpack", "fft");
+          COSMO_REQUIRE(buf.size() == block, "transpose block size mismatch");
+          if (z_to_y)
+            unpack_z_to_y(buf.data(), s, slab.data());
+          else
+            unpack_y_to_z(buf.data(), s, slab.data());
+        });
   }
 
   comm::Comm* comm_;

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <initializer_list>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -104,12 +105,6 @@ class PmSolver {
   }
   dpp::Backend backend() const { return backend_; }
 
-  /// Deposit chunk size in particles (0 = auto). The δ field is
-  /// backend-invariant for any fixed grain; different grains change the
-  /// private-buffer block structure and hence the summation order.
-  void set_deposit_grain(std::size_t g) { deposit_grain_ = g; }
-  std::size_t deposit_grain() const { return deposit_grain_; }
-
   /// CIC deposit of the rank's owned particles. Returns the local density
   /// slab as δ = ρ/ρ̄ − 1 (ghost contributions folded back onto owners).
   /// `mean_per_cell` is the global mean particle count per grid cell.
@@ -126,8 +121,7 @@ class PmSolver {
           const double gy = p.y[i] * inv_cell;
           const double gz = p.z[i] * inv_cell - zslab0;  // slab-local plane
           deposit_cic(buf, gx, gy, gz, 1.0);
-        },
-        deposit_grain_);
+        });
     fold_ghost_planes(rho);
     // Normalize to overdensity — pure per-element map, one item per plane.
     dpp::for_each_index(backend_, nzl(), [&](std::size_t zl) {
@@ -185,7 +179,7 @@ class PmSolver {
         for (std::size_t x = 0; x < ng_; ++x)
           phi.at(x, y, zl) =
               slab[(static_cast<std::size_t>(zl) * ng_ + y) * ng_ + x].real();
-    exchange_ghost_planes(phi);
+    exchange_ghost_planes({&phi});
     return phi;
   }
 
@@ -194,8 +188,9 @@ class PmSolver {
   ///
   /// The gradient is first evaluated by central differences on the owned
   /// planes (which only needs φ's single ghost layer), the gradient fields'
-  /// own ghost planes are exchanged, and then each field is CIC-interpolated
-  /// — so particles in the top half-cell of a slab read a valid plane.
+  /// own ghost planes are exchanged (one exchange for all three), and then
+  /// each field is CIC-interpolated — so particles in the top half-cell of
+  /// a slab read a valid plane.
   void accelerations(const SlabField& phi, const ParticleSet& p,
                      std::vector<double>& ax, std::vector<double>& ay,
                      std::vector<double>& az) const {
@@ -220,9 +215,7 @@ class PmSolver {
           }
         },
         /*grain=*/8);
-    exchange_ghost_planes(fx);
-    exchange_ghost_planes(fy);
-    exchange_ghost_planes(fz);
+    exchange_ghost_planes({&fx, &fy, &fz});
 
     ax.assign(p.size(), 0.0);
     ay.assign(p.size(), 0.0);
@@ -420,55 +413,52 @@ class PmSolver {
     }
   }
 
-  /// Fills φ's ghost planes with copies of the neighbors' boundary planes.
-  void exchange_ghost_planes(SlabField& phi) const {
+  /// Fills the ghost planes of every field in `fields` with copies of the
+  /// neighbors' boundary planes, all fields in one exchange.
+  void exchange_ghost_planes(std::initializer_list<SlabField*> fields) const {
+    const long top = static_cast<long>(nzl()) - 1;
+    const long ghost_hi = static_cast<long>(nzl());
     if (comm_->size() == 1) {
-      auto bot = phi.plane(0);
-      auto top = phi.plane(static_cast<long>(nzl()) - 1);
-      auto glo = phi.plane(-1);
-      auto ghi = phi.plane(static_cast<long>(nzl()));
-      std::copy(top.begin(), top.end(), glo.begin());
-      std::copy(bot.begin(), bot.end(), ghi.begin());
+      for (SlabField* f : fields) {
+        std::ranges::copy(f->plane(top), f->plane(-1).begin());
+        std::ranges::copy(f->plane(0), f->plane(ghost_hi).begin());
+      }
       return;
     }
     const int P = comm_->size();
     const int rank = comm_->rank();
-    const int lo_nbr = (rank + P - 1) % P;
-    const int hi_nbr = (rank + 1) % P;
+    const auto lo_nbr = static_cast<std::size_t>((rank + P - 1) % P);
+    const auto hi_nbr = static_cast<std::size_t>((rank + 1) % P);
+    const std::size_t plane = ng_ * ng_;
+    const std::size_t planes = plane * fields.size();
     std::vector<std::vector<double>> send(static_cast<std::size_t>(P));
-    auto bot = phi.plane(0);
-    auto top = phi.plane(static_cast<long>(nzl()) - 1);
-    // Append (not assign): with P == 2 both planes go to the same neighbor
-    // and must concatenate in [bottom plane, top plane] order.
-    auto& blo = send[static_cast<std::size_t>(lo_nbr)];
-    blo.insert(blo.end(), bot.begin(), bot.end());
-    auto& bhi = send[static_cast<std::size_t>(hi_nbr)];
-    bhi.insert(bhi.end(), top.begin(), top.end());
-    auto recv = comm_->alltoallv(send);
-    if (P == 2) {
-      const auto& buf = recv[static_cast<std::size_t>(lo_nbr)];
-      COSMO_REQUIRE(buf.size() == 2 * ng_ * ng_, "ghost exchange size mismatch");
-      auto ghi = phi.plane(static_cast<long>(nzl()));
-      auto glo = phi.plane(-1);
-      // Neighbor sent [its bottom plane, its top plane]: its bottom plane is
-      // the plane above our slab; its top plane is the plane below ours.
-      std::copy(buf.begin(), buf.begin() + static_cast<long>(ng_ * ng_),
-                ghi.begin());
-      std::copy(buf.begin() + static_cast<long>(ng_ * ng_), buf.end(),
-                glo.begin());
-      return;
+    // Each field's bottom plane goes down, its top plane up, in field
+    // order. Append (not assign): with P == 2 both go to the same neighbor,
+    // whose block is [every bottom plane, every top plane].
+    for (SlabField* f : fields) {
+      auto bot = f->plane(0);
+      send[lo_nbr].insert(send[lo_nbr].end(), bot.begin(), bot.end());
     }
-    {
-      const auto& from_below = recv[static_cast<std::size_t>(lo_nbr)];
-      COSMO_REQUIRE(from_below.size() == ng_ * ng_, "ghost exchange mismatch");
-      auto glo = phi.plane(-1);
-      std::copy(from_below.begin(), from_below.end(), glo.begin());
+    for (SlabField* f : fields) {
+      auto up = f->plane(top);
+      send[hi_nbr].insert(send[hi_nbr].end(), up.begin(), up.end());
     }
-    {
-      const auto& from_above = recv[static_cast<std::size_t>(hi_nbr)];
-      COSMO_REQUIRE(from_above.size() == ng_ * ng_, "ghost exchange mismatch");
-      auto ghi = phi.plane(static_cast<long>(nzl()));
-      std::copy(from_above.begin(), from_above.end(), ghi.begin());
+    const auto recv = comm_->alltoallv(send);
+    const auto& above = recv[hi_nbr];
+    const auto& below = recv[lo_nbr];
+    COSMO_REQUIRE(above.size() == (P == 2 ? 2 * planes : planes) &&
+                      below.size() == above.size(),
+                  "ghost exchange size mismatch");
+    // The neighbor above sent its bottom planes, our upper ghosts; the one
+    // below sent its top planes, our lower ghosts (with P == 2, the second
+    // half of the one neighbor's block).
+    const double* from_above = above.data();
+    const double* from_below = below.data() + (P == 2 ? planes : 0);
+    for (SlabField* f : fields) {
+      std::copy_n(from_above, plane, f->plane(ghost_hi).begin());
+      std::copy_n(from_below, plane, f->plane(-1).begin());
+      from_above += plane;
+      from_below += plane;
     }
   }
 
@@ -479,7 +469,6 @@ class PmSolver {
   std::size_t ng_;
   double box_;
   dpp::Backend backend_ = dpp::Backend::Serial;
-  std::size_t deposit_grain_ = 0;
 };
 
 }  // namespace cosmo::sim

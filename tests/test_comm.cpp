@@ -4,8 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -217,92 +217,111 @@ TEST(Comm, RankExceptionPropagatesToCaller) {
                Error);
 }
 
-// Rank r sends count(r, d) copies of 100*r + d to each destination d, once
-// through the batched Comm::alltoallv (every send buffer up front) and once
-// through a session, posting block by block from one reused buffer with a
-// prefetch after each post (the FFT transposes' pattern). Every block the
-// session delivers must equal the batched result for its source.
-void expect_session_matches_batched(
-    Comm& c, const std::function<std::size_t(int, int)>& count) {
-  const int P = c.size();
-  std::vector<std::vector<int>> send(static_cast<std::size_t>(P));
-  for (int d = 0; d < P; ++d)
-    send[static_cast<std::size_t>(d)].assign(count(c.rank(), d),
-                                             100 * c.rank() + d);
-  const auto batched = c.alltoallv(send);
-  std::vector<std::size_t> recv_counts(static_cast<std::size_t>(P));
-  for (int s = 0; s < P; ++s) {
-    const auto& want = batched[static_cast<std::size_t>(s)];
-    ASSERT_EQ(want.size(), count(s, c.rank())) << "from rank " << s;
-    for (int v : want) ASSERT_EQ(v, 100 * s + c.rank()) << "from rank " << s;
-    recv_counts[static_cast<std::size_t>(s)] = want.size();
-  }
+// The next four cases keep the names they had when they drove the flat
+// all-to-all session the FFT transposes ran on. The session is gone; they
+// check the same traffic on exchange() and alltoallv().
 
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(P), 0);
-  comm::AlltoallvFlatSession<int> session(c, recv_counts);
-  std::vector<int> scratch;
-  for (int d = 0; d < P; ++d) {
-    scratch = send[static_cast<std::size_t>(d)];
-    session.post_block(d, std::span<const int>(scratch));
-    session.prefetch();
-  }
-  session.finish([&](int src, std::span<const int> block) {
-    auto& slot = seen[static_cast<std::size_t>(src)];
-    ASSERT_FALSE(slot) << "block from rank " << src << " twice";
-    slot = 1;
-    const auto& want = batched[static_cast<std::size_t>(src)];
-    ASSERT_EQ(block.size(), want.size()) << "from rank " << src;
-    for (std::size_t i = 0; i < block.size(); ++i)
-      EXPECT_EQ(block[i], want[i]) << "from rank " << src << " index " << i;
-  });
-  for (int s = 0; s < P; ++s)
-    EXPECT_TRUE(seen[static_cast<std::size_t>(s)]) << "missing rank " << s;
-}
-
+// The transposes' pattern: rank r sends d+1 copies of 1000*r + 10*d + i to
+// each destination d, every pack refilling one buffer. The self block
+// reaches unpack as pack returned it, every peer block is unpacked once,
+// in source order, after the last pack, and each block equals what the
+// batched alltoallv (every send buffer up front) returns from its source.
 TEST_P(CommRanks, AlltoallvFlatSessionMatchesBatched) {
-  run_spmd(GetParam(), [&](Comm& c) {
-    // Same traffic as AlltoallvRoutesPersonalizedBuffers: d+1 elements to d.
-    expect_session_matches_batched(
-        c, [](int, int d) { return static_cast<std::size_t>(d + 1); });
+  const int P = GetParam();
+  run_spmd(P, [&](Comm& c) {
+    std::vector<std::vector<double>> send(static_cast<std::size_t>(P));
+    for (int d = 0; d < P; ++d)
+      for (int i = 0; i <= d; ++i)
+        send[static_cast<std::size_t>(d)].push_back(1000.0 * c.rank() +
+                                                    10.0 * d + i);
+    const auto batched = c.alltoallv(send);
+    for (int s = 0; s < P; ++s) {
+      const auto& want = batched[static_cast<std::size_t>(s)];
+      ASSERT_EQ(want.size(), static_cast<std::size_t>(c.rank() + 1))
+          << "from rank " << s;
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(want[i],
+                  1000.0 * s + 10.0 * c.rank() + static_cast<double>(i))
+            << "from rank " << s;
+    }
+
+    std::vector<double> scratch;
+    int packs = 0;
+    std::vector<int> order;
+    c.exchange<double>(
+        [&](int d) {
+          ++packs;
+          scratch = send[static_cast<std::size_t>(d)];
+          return std::span<const double>(scratch);
+        },
+        [&](int src, std::span<const double> block) {
+          EXPECT_EQ(packs, P) << "unpack of rank " << src << " before a pack";
+          if (src == c.rank()) {
+            EXPECT_EQ(block.data(), scratch.data());
+          }
+          order.push_back(src);
+          const auto& want = batched[static_cast<std::size_t>(src)];
+          ASSERT_EQ(block.size(), want.size()) << "from rank " << src;
+          for (std::size_t i = 0; i < block.size(); ++i)
+            EXPECT_EQ(block[i], want[i])
+                << "from rank " << src << " index " << i;
+        });
+    std::vector<int> want{c.rank()};
+    for (int s = 0; s < P; ++s)
+      if (s != c.rank()) want.push_back(s);
+    EXPECT_EQ(order, want);
   });
 }
 
 TEST_P(CommRanks, AlltoallvFlatHandlesZeroCounts) {
-  run_spmd(GetParam(), [&](Comm& c) {
-    // Only even ranks send, and only to odd ranks (self blocks are zero for
-    // everyone): empty blocks in both directions.
-    expect_session_matches_batched(c, [](int s, int d) {
+  const int P = GetParam();
+  run_spmd(P, [&](Comm& c) {
+    // Only even ranks send, and only to odd ranks (self blocks are empty
+    // for everyone): empty blocks in both directions.
+    auto count = [](int s, int d) {
       return std::size_t{s % 2 == 0 && d % 2 == 1 ? 2u : 0u};
-    });
+    };
+    std::vector<std::vector<int>> send(static_cast<std::size_t>(P));
+    for (int d = 0; d < P; ++d)
+      send[static_cast<std::size_t>(d)].assign(count(c.rank(), d),
+                                               100 * c.rank() + d);
+    const auto recv = c.alltoallv(send);
+    ASSERT_EQ(recv.size(), static_cast<std::size_t>(P));
+    for (int s = 0; s < P; ++s) {
+      const auto& buf = recv[static_cast<std::size_t>(s)];
+      ASSERT_EQ(buf.size(), count(s, c.rank())) << "from rank " << s;
+      for (int v : buf) EXPECT_EQ(v, 100 * s + c.rank()) << "from rank " << s;
+    }
   });
 }
 
 TEST_P(CommRanks, AlltoallvFlatSessionOutOfOrderArrival) {
   const int P = GetParam();
   if (P < 2) GTEST_SKIP();
-  // Adversarial staggering: rank r delays its posts by (P-1-r) ms, so blocks
-  // arrive in roughly reverse rank order and early-posting ranks sit in
-  // finish() while late blocks trickle in. Content must be unaffected.
+  // Adversarial staggering: rank r enters the exchange (P-1-r)·2 ms late,
+  // so blocks arrive in roughly reverse rank order and early ranks wait
+  // for late blocks in source order. Content must be unaffected.
   run_spmd(P, [&](Comm& c) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(2 * (P - 1 - c.rank())));
-    const std::vector<std::size_t> counts(static_cast<std::size_t>(P), 3);
-    comm::AlltoallvFlatSession<double> session(c, counts);
     std::vector<double> block(3);
-    for (int step = 0; step < P; ++step) {
-      const int d = (c.rank() + step) % P;
-      for (int i = 0; i < 3; ++i) block[static_cast<std::size_t>(i)] =
-          1000.0 * c.rank() + 10.0 * d + i;
-      session.post_block(d, std::span<const double>(block));
-    }
     std::vector<std::uint8_t> seen(static_cast<std::size_t>(P), 0);
-    session.finish([&](int src, std::span<const double> b) {
-      ASSERT_EQ(b.size(), 3u);
-      seen[static_cast<std::size_t>(src)] = 1;
-      for (int i = 0; i < 3; ++i)
-        EXPECT_DOUBLE_EQ(b[static_cast<std::size_t>(i)],
-                         1000.0 * src + 10.0 * c.rank() + i);
-    });
+    c.exchange<double>(
+        [&](int d) {
+          for (std::size_t i = 0; i < 3; ++i)
+            block[i] = 1000.0 * c.rank() + 10.0 * d + static_cast<double>(i);
+          return std::span<const double>(block);
+        },
+        [&](int src, std::span<const double> b) {
+          auto& slot = seen[static_cast<std::size_t>(src)];
+          EXPECT_FALSE(slot) << "block from rank " << src << " twice";
+          slot = 1;
+          ASSERT_EQ(b.size(), 3u) << "from rank " << src;
+          for (std::size_t i = 0; i < 3; ++i)
+            EXPECT_EQ(b[i],
+                      1000.0 * src + 10.0 * c.rank() + static_cast<double>(i))
+                << "from rank " << src;
+        });
     for (int s = 0; s < P; ++s)
       EXPECT_TRUE(seen[static_cast<std::size_t>(s)]) << "missing rank " << s;
   });
@@ -310,45 +329,24 @@ TEST_P(CommRanks, AlltoallvFlatSessionOutOfOrderArrival) {
 
 TEST_P(CommRanks, BackToBackSessionsDoNotInterfere) {
   const int P = GetParam();
-  // Two sessions opened in program order on every rank: the per-source FIFO
-  // must keep round-2 blocks out of round-1 sessions even when a fast rank
-  // posts round 2 before a slow rank drains round 1.
+  // Two exchanges in program order, the forward/inverse transpose pattern:
+  // ranks enter the first in reverse rank order and the second in rank
+  // order, so a fast rank sends round 1 while a slow one still drains
+  // round 0. The per-source FIFO must keep each round's blocks apart.
   run_spmd(P, [&](Comm& c) {
     for (int round = 0; round < 2; ++round) {
-      const std::vector<std::size_t> counts(static_cast<std::size_t>(P), 1);
-      comm::AlltoallvFlatSession<int> session(c, counts);
-      std::vector<int> v(1);
-      for (int d = 0; d < P; ++d) {
-        v[0] = 1000 * round + 10 * c.rank() + d;
-        session.post_block(d, std::span<const int>(v));
-      }
-      session.finish([&](int src, std::span<const int> b) {
+      const int late = round == 0 ? P - 1 - c.rank() : c.rank();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2 * late));
+      std::vector<std::vector<int>> send(static_cast<std::size_t>(P));
+      for (int d = 0; d < P; ++d)
+        send[static_cast<std::size_t>(d)] = {1000 * round + 10 * c.rank() + d};
+      const auto recv = c.alltoallv(send);
+      for (int s = 0; s < P; ++s) {
+        const auto& b = recv[static_cast<std::size_t>(s)];
         ASSERT_EQ(b.size(), 1u);
-        EXPECT_EQ(b[0], 1000 * round + 10 * src + c.rank());
-      });
+        EXPECT_EQ(b[0], 1000 * round + 10 * s + c.rank());
+      }
     }
-  });
-}
-
-TEST(Comm, SessionRejectsDoublePostAndEarlyFinish) {
-  run_spmd(2, [&](Comm& c) {
-    const std::vector<std::size_t> counts(2, 1);
-    comm::AlltoallvFlatSession<int> session(c, counts);
-    const int v = c.rank();
-    auto sink = [](int, std::span<const int>) {};
-    if (c.rank() == 0) {
-      session.post_block(1, std::span<const int>(&v, 1));
-      EXPECT_THROW(session.post_block(1, std::span<const int>(&v, 1)), Error);
-      EXPECT_THROW(session.finish(sink), Error);  // self block not posted
-      const int two[2] = {v, v};
-      EXPECT_THROW(session.post_block(0, std::span<const int>(two)),
-                   Error);  // self block larger than its recv count
-      session.post_block(0, std::span<const int>(&v, 1));
-    } else {
-      session.post_block(0, std::span<const int>(&v, 1));
-      session.post_block(1, std::span<const int>(&v, 1));
-    }
-    session.finish(sink);
   });
 }
 

@@ -1,6 +1,6 @@
-// Tests for the paper-adjacent extensions: the CRTP static pipeline
-// (§3.1 footnote), computational steering (live reconfiguration, §3.1),
-// and halo concentration (Table 1's Level 3 product).
+// Tests for the paper-adjacent extensions: computational steering (live
+// reconfiguration, §3.1) and halo concentration (Table 1's Level 3
+// product).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/algorithms.h"
-#include "core/static_pipeline.h"
 #include "core/steering.h"
 #include "sim/synthetic.h"
 #include "stats/concentration.h"
@@ -21,7 +20,7 @@ using namespace cosmo;
 using namespace cosmo::core;
 namespace fs = std::filesystem;
 
-// ----------------------------------------------------------- static pipeline
+// ------------------------------------------------------------------ steering
 
 class CountingAlgorithm : public InSituAlgorithm {
  public:
@@ -39,95 +38,6 @@ class CountingAlgorithm : public InSituAlgorithm {
   std::size_t cadence_ = 1;
   int executions_ = 0;
 };
-
-class OrderProbe : public InSituAlgorithm {
- public:
-  void SetParameters(const ParameterMap&) override {}
-  bool ShouldExecute(const sim::StepContext&) const override { return true; }
-  void Execute(const sim::StepContext&, AnalysisContext& ctx) override {
-    // Record execution order on the shared blackboard (abusing deferred_ids
-    // as a scratch list is fine for a test probe).
-    ctx.deferred_ids.push_back(marker);
-  }
-  std::string Name() const override { return "order"; }
-  std::int64_t marker = 0;
-};
-
-TEST(StaticPipeline, ConfiguresAndExecutesOnCadence) {
-  StaticPipeline<CountingAlgorithm> pipeline;
-  pipeline.configure(CosmoToolsConfig::parse("[counting]\ncadence 3\n"));
-  EXPECT_EQ(pipeline.get<CountingAlgorithm>().cadence_, 3u);
-  AnalysisContext ctx;
-  for (std::size_t s = 1; s <= 9; ++s) {
-    sim::StepContext step{s, 9, 1.0, 0.0};
-    pipeline.execute_step(step, ctx);
-  }
-  EXPECT_EQ(pipeline.get<CountingAlgorithm>().executions_, 3);
-}
-
-TEST(StaticPipeline, PreservesDeclarationOrder) {
-  OrderProbe a, b;
-  a.marker = 1;
-  b.marker = 2;
-  // Distinct types are required by get<>, but order is positional: wrap one.
-  struct OrderProbe2 : OrderProbe {};
-  OrderProbe2 b2;
-  b2.marker = 2;
-  StaticPipeline<OrderProbe, OrderProbe2> pipeline(a, b2);
-  AnalysisContext ctx;
-  sim::StepContext step{1, 1, 1.0, 0.0};
-  pipeline.execute_step(step, ctx);
-  ASSERT_EQ(ctx.deferred_ids.size(), 2u);
-  EXPECT_EQ(ctx.deferred_ids[0], 1);
-  EXPECT_EQ(ctx.deferred_ids[1], 2);
-}
-
-TEST(StaticPipeline, MatchesVirtualManagerResults) {
-  // The same HaloFinder+CenterFinder algorithms produce the same catalog
-  // through either dispatch path.
-  sim::SyntheticConfig ucfg;
-  ucfg.box = 32.0;
-  ucfg.halo_count = 8;
-  ucfg.min_particles = 80;
-  ucfg.max_particles = 600;
-  ucfg.background_particles = 300;
-  ucfg.subclump_fraction = 0.0;
-  const auto config = CosmoToolsConfig::parse(
-      "[halofinder]\nlinking_length 0.3\nmin_size 40\noverload 2.0\n"
-      "[centerfinder]\nthreshold 0\n");
-  comm::run_spmd(1, [&](comm::Comm& c) {
-    sim::Cosmology cosmo;
-    auto u1 = sim::generate_synthetic(c, cosmo, ucfg);
-    auto u2 = u1;
-    sim::SlabDecomposition decomp(1, ucfg.box);
-    sim::StepContext step{1, 1, 1.0, 0.0};
-
-    InSituAnalysisManager manager(c, decomp, ucfg.box, u1.total_particles);
-    manager.add(std::make_unique<HaloFinderAlgorithm>());
-    manager.add(std::make_unique<CenterFinderAlgorithm>());
-    manager.configure(config);
-    auto virt = manager.execute_step(step, u1.local);
-
-    StaticPipeline<HaloFinderAlgorithm, CenterFinderAlgorithm> pipeline;
-    pipeline.configure(config);
-    AnalysisContext ctx;
-    ctx.comm = &c;
-    ctx.decomp = &decomp;
-    ctx.particles = &u2.local;
-    ctx.box = ucfg.box;
-    ctx.total_particles = u2.total_particles;
-    pipeline.execute_step(step, ctx);
-
-    ASSERT_EQ(virt.catalog.size(), ctx.catalog.size());
-    for (std::size_t i = 0; i < virt.catalog.size(); ++i) {
-      EXPECT_EQ(virt.catalog[i].id, ctx.catalog[i].id);
-      EXPECT_EQ(virt.catalog[i].count, ctx.catalog[i].count);
-      EXPECT_FLOAT_EQ(virt.catalog[i].cx, ctx.catalog[i].cx);
-    }
-  });
-}
-
-// ------------------------------------------------------------------ steering
 
 class SteeringTest : public ::testing::Test {
  protected:

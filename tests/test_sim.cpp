@@ -387,11 +387,11 @@ TEST_P(PmRanks, DepositConservesMass) {
   });
 }
 
-// The parallel-deposit determinism contract: for every rank count and every
-// deposit grain, the ThreadPool δ field is bit-identical to Serial — the
-// scatter-reduce block structure depends only on (n, grain, pool width),
-// never on thread scheduling.
-TEST_P(PmRanks, DepositBackendsBitIdenticalAcrossGrains) {
+// The parallel-deposit determinism contract: for every rank count the
+// ThreadPool δ field is bit-identical to Serial — the scatter-reduce block
+// structure depends only on (n, grain, pool width), never on thread
+// scheduling. DppDeposit.BackendsBitIdenticalAcrossGrains sweeps the grain.
+TEST_P(PmRanks, DepositBackendsBitIdentical) {
   const int P = GetParam();
   const std::size_t ng = 16;
   const double box = 64.0;
@@ -406,22 +406,39 @@ TEST_P(PmRanks, DepositBackendsBitIdenticalAcrossGrains) {
                           static_cast<float>(rng.uniform(0, box)), 0, 0, 0, i);
     ParticleSet owned = d.redistribute(c, scattered);
     const double mean = 4000.0 * P / (ng * ng * ng);
-    for (const std::size_t grain :
-         {std::size_t{0}, std::size_t{64}, std::size_t{977}}) {
-      PmSolver serial_pm(c, cosmo, ng, box);
-      serial_pm.set_backend(dpp::Backend::Serial);
-      serial_pm.set_deposit_grain(grain);
-      PmSolver pooled_pm(c, cosmo, ng, box);
-      pooled_pm.set_backend(dpp::Backend::ThreadPool);
-      pooled_pm.set_deposit_grain(grain);
-      SlabField ds = serial_pm.deposit_density(owned, mean);
-      SlabField dp = pooled_pm.deposit_density(owned, mean);
-      auto a = ds.data();
-      auto b = dp.data();
-      ASSERT_EQ(a.size(), b.size());
-      ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-          << "rank " << c.rank() << " grain " << grain;
-    }
+    PmSolver serial_pm(c, cosmo, ng, box);
+    serial_pm.set_backend(dpp::Backend::Serial);
+    PmSolver pooled_pm(c, cosmo, ng, box);
+    pooled_pm.set_backend(dpp::Backend::ThreadPool);
+    SlabField ds = serial_pm.deposit_density(owned, mean);
+    SlabField dp = pooled_pm.deposit_density(owned, mean);
+    auto a = ds.data();
+    auto b = dp.data();
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "rank " << c.rank();
+  });
+}
+
+// fx, fy and fz share one ghost exchange: one alltoallv per accelerations
+// call on each rank (P == 1 copies its planes locally and sends nothing).
+TEST_P(PmRanks, AccelerationsSendOneGhostExchange) {
+  const int P = GetParam();
+  const std::size_t ng = 8;
+  const double box = 64.0;
+  auto& exchanges = obs::MetricsRegistry::instance().counter("comm.alltoallv");
+  comm::run_spmd(P, [&](comm::Comm& c) {
+    Cosmology cosmo;
+    PmSolver pm(c, cosmo, ng, box);
+    ParticleSet p;
+    p.push_back(4.0f, 4.0f, static_cast<float>((pm.z0() + 0.5) * pm.cell()),
+                0, 0, 0, c.rank());
+    SlabField phi(ng, pm.nzl());
+    std::vector<double> ax, ay, az;
+    const std::uint64_t before = exchanges.local(c.rank());
+    pm.accelerations(phi, p, ax, ay, az);
+    EXPECT_EQ(exchanges.local(c.rank()) - before, P == 1 ? 0u : 1u)
+        << "rank " << c.rank();
   });
 }
 
