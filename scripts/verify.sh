@@ -68,12 +68,18 @@
 #                              restart, a rerun in a used workdir),
 #                              test_faults and test_sim (the
 #                              synthetic generator's pre-sized particle
-#                              ranges, the PM path's masked CIC stencils
-#                              and redistribute's indexed output) with
+#                              ranges, the PM path's masked CIC stencils,
+#                              redistribute's indexed output and the
+#                              overload's ghosts appended from the messages,
+#                              DecompRanks.OverloadKeepsTheOrder) with
 #                              -DCOSMO_ASAN=ON in build-asan/ and fails on
 #                              any report.
-#   Each sanitizer lane builds its binaries as one aggregate target, so
-#   they compile in parallel (JOBS, default nproc).
+#   Both lanes run the δ, k-space and halo-catalog goldens
+#   (PmSolver.DepositMatchesGolden, DistFftGolden.ForwardMatchesGolden,
+#   PerHaloFanout.CatalogMatchesGolden), each once while another thread
+#   keeps dispatching on the pool. Each sanitizer lane builds its binaries
+#   as one aggregate target, so they compile in parallel (JOBS, default
+#   nproc).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -271,8 +271,8 @@ class Comm {
   }
 
   /// Personalized all-to-all: send[dest] goes to rank dest; returns one
-  /// buffer per source rank. The particle exchange, the FOF overload and
-  /// the PM ghost planes run on it; it is exchange() copying each block in.
+  /// buffer per source rank. The particle exchange and the PM ghost planes
+  /// run on it; it is exchange() copying each block in.
   template <typename T>
   std::vector<std::vector<T>> alltoallv(
       const std::vector<std::vector<T>>& send) {
@@ -290,7 +290,8 @@ class Comm {
     return recv;
   }
 
-  /// The one all-to-all loop, under alltoallv and the FFT transposes.
+  /// The one all-to-all loop, under alltoallv, the FFT transposes and the
+  /// FOF overload exchange.
   /// pack(dest) returns the std::span<const T> for rank dest; it is copied
   /// into the message before the next pack, so every pack may refill one
   /// buffer. Destinations are staggered so mailboxes fill evenly, self

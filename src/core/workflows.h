@@ -99,9 +99,6 @@ struct WorkflowProblem {
   std::size_t subhalo_min_host = 5000;
   std::filesystem::path workdir;       ///< scratch for Level 1/2/3 files
   std::uint64_t staging_capacity = 1ull << 30;
-  /// How long the in-transit consumer waits for a staged buffer before
-  /// treating the handoff as failed and falling back.
-  std::chrono::milliseconds staging_take_timeout{10000};
 };
 
 struct PhaseTimes {
@@ -626,13 +623,16 @@ inline WorkflowResult run_workflow(WorkflowKind kind,
   auto read_from_files = [&](int src, std::vector<sim::ParticleSet>& halos) {
     detail::read_level2_file(level2_base, src, halos);
   };
+  // How long the in-transit consumer waits for a staged buffer before
+  // treating the handoff as failed.
+  constexpr std::chrono::milliseconds kStagingTakeTimeout{10000};
   // Takes a producer rank's staged buffer (blocking handoff); a rank whose
   // put fell back to the filesystem is read from its Level 2 file instead.
   auto take_from_staging = [&](int src, std::vector<sim::ParticleSet>& halos) {
     if (staging_fallback_ranks.count(src) != 0)
       return read_from_files(src, halos);
     const std::string name = "level2.rank" + std::to_string(src);
-    auto buf = staging.take_blocking(name, problem.staging_take_timeout);
+    auto buf = staging.take_blocking(name, kStagingTakeTimeout);
     if (!buf) {
       // Lost handoff (injected or timed out): the data may still be
       // resident — retry the take once before giving up.

@@ -26,7 +26,6 @@ struct SoConfig {
   double particle_mass = 1.0;  ///< mass per particle
   double box = 0.0;            ///< periodic box (0 = non-periodic)
   dpp::Backend backend = dpp::Backend::Serial;  ///< r² tabulation
-  std::size_t grain = 0;  ///< members per chunk (0 = auto)
 };
 
 struct SoResult {
@@ -43,17 +42,14 @@ inline SoResult so_mass(const sim::ParticleSet& p,
                         double cy, double cz, const SoConfig& cfg) {
   COSMO_REQUIRE(cfg.delta > 0.0 && cfg.mean_density > 0.0,
                 "SO threshold and density must be positive");
-  // Elementwise, so the values are bit-identical across backends and grains.
+  // Elementwise, so the values are bit-identical across backends.
   std::vector<double> r2(members.size());
-  dpp::tabulate<double>(
-      cfg.backend, r2,
-      [&](std::size_t k) {
-        const std::uint32_t i = members[k];
-        const double dx = cx - p.x[i], dy = cy - p.y[i], dz = cz - p.z[i];
-        return cfg.box > 0.0 ? sim::periodic_dist2(dx, dy, dz, cfg.box)
-                             : dx * dx + dy * dy + dz * dz;
-      },
-      cfg.grain);
+  dpp::tabulate<double>(cfg.backend, r2, [&](std::size_t k) {
+    const std::uint32_t i = members[k];
+    const double dx = cx - p.x[i], dy = cy - p.y[i], dz = cz - p.z[i];
+    return cfg.box > 0.0 ? sim::periodic_dist2(dx, dy, dz, cfg.box)
+                         : dx * dx + dy * dy + dz * dz;
+  });
   std::sort(r2.begin(), r2.end());
 
   const double threshold = cfg.delta * cfg.mean_density;

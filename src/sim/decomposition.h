@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -130,6 +131,10 @@ class SlabDecomposition {
   /// with both periodic neighbors. Ghost z-positions are kept unwrapped
   /// (they may lie slightly outside [0, box)) so distance computations near
   /// the boundary need no minimum-image logic inside a slab's neighborhood.
+  /// Ghosts follow the owned particles in source-rank order, each source's
+  /// in its particle order, appended straight from the messages. At P == 1
+  /// the rank is both of its own neighbors: its self block holds the ghosts
+  /// across the periodic seam.
   Overloaded exchange_overload(comm::Comm& comm, const ParticleSet& owned,
                                double width) const {
     COSMO_REQUIRE(comm.size() == nranks_, "communicator/decomposition mismatch");
@@ -138,12 +143,6 @@ class SlabDecomposition {
     Overloaded out;
     out.particles = owned;
     out.owned_count = owned.size();
-    if (nranks_ == 1) {
-      // Self-ghosts across the periodic boundary: replicate boundary
-      // particles shifted by ±box so single-rank FOF sees the wrap.
-      if (width > 0.0) append_periodic_self_ghosts(out.particles, width);
-      return out;
-    }
 
     const int rank = comm.rank();
     const int lo_nbr = (rank + nranks_ - 1) % nranks_;
@@ -167,28 +166,18 @@ class SlabDecomposition {
         send[static_cast<std::size_t>(hi_nbr)].push_back(w);
       }
     }
-    auto recv = comm.alltoallv(send);
-    for (const auto& buf : recv)
-      for (const auto& w : buf) unpack_particle(w, out.particles);
+    comm.exchange<PackedParticle>(
+        [&](int dest) {
+          return std::span<const PackedParticle>(
+              send[static_cast<std::size_t>(dest)]);
+        },
+        [&](int, std::span<const PackedParticle> block) {
+          for (const auto& w : block) unpack_particle(w, out.particles);
+        });
     return out;
   }
 
  private:
-  void append_periodic_self_ghosts(ParticleSet& p, double width) const {
-    const std::size_t n = p.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (p.z[i] < width) {
-        PackedParticle w = pack_particle(p, i);
-        w.z += static_cast<float>(box_);
-        unpack_particle(w, p);
-      } else if (p.z[i] >= box_ - width) {
-        PackedParticle w = pack_particle(p, i);
-        w.z -= static_cast<float>(box_);
-        unpack_particle(w, p);
-      }
-    }
-  }
-
   int nranks_;
   double box_;
 };

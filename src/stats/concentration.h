@@ -55,21 +55,17 @@ inline ConcentrationResult concentration(const sim::ParticleSet& p,
                                          double cx, double cy, double cz,
                                          double box = 0.0,
                                          dpp::Backend backend =
-                                             dpp::Backend::Serial,
-                                         std::size_t grain = 0) {
+                                             dpp::Backend::Serial) {
   ConcentrationResult out;
   if (members.size() < 20) return out;
-  // Elementwise, so bit-identical across backends and grains.
+  // Elementwise, so bit-identical across backends.
   std::vector<double> r2(members.size());
-  dpp::tabulate<double>(
-      backend, r2,
-      [&](std::size_t k) {
-        const auto i = members[k];
-        const double dx = p.x[i] - cx, dy = p.y[i] - cy, dz = p.z[i] - cz;
-        return box > 0.0 ? sim::periodic_dist2(dx, dy, dz, box)
-                         : dx * dx + dy * dy + dz * dz;
-      },
-      grain);
+  dpp::tabulate<double>(backend, r2, [&](std::size_t k) {
+    const auto i = members[k];
+    const double dx = p.x[i] - cx, dy = p.y[i] - cy, dz = p.z[i] - cz;
+    return box > 0.0 ? sim::periodic_dist2(dx, dy, dz, box)
+                     : dx * dx + dy * dy + dz * dz;
+  });
   std::sort(r2.begin(), r2.end());
   out.r_outer = std::sqrt(r2.back());
   out.r_half = std::sqrt(r2[r2.size() / 2]);
@@ -99,22 +95,18 @@ inline ConcentrationResult concentration(const sim::ParticleSet& p,
 inline ConcentrationResult concentration_profile_fit(
     const sim::ParticleSet& p, std::span<const std::uint32_t> members,
     double cx, double cy, double cz, double box = 0.0,
-    std::size_t bins = 16, dpp::Backend backend = dpp::Backend::Serial,
-    std::size_t grain = 0) {
+    std::size_t bins = 16, dpp::Backend backend = dpp::Backend::Serial) {
   ConcentrationResult out;
   if (members.size() < 100) return out;
-  // Elementwise, so bit-identical across backends and grains.
+  // Elementwise, so bit-identical across backends.
   std::vector<double> r(members.size());
-  dpp::tabulate<double>(
-      backend, r,
-      [&](std::size_t k) {
-        const auto i = members[k];
-        const double dx = p.x[i] - cx, dy = p.y[i] - cy, dz = p.z[i] - cz;
-        const double d2 = box > 0.0 ? sim::periodic_dist2(dx, dy, dz, box)
-                                    : dx * dx + dy * dy + dz * dz;
-        return std::sqrt(d2);
-      },
-      grain);
+  dpp::tabulate<double>(backend, r, [&](std::size_t k) {
+    const auto i = members[k];
+    const double dx = p.x[i] - cx, dy = p.y[i] - cy, dz = p.z[i] - cz;
+    const double d2 = box > 0.0 ? sim::periodic_dist2(dx, dy, dz, box)
+                                : dx * dx + dy * dy + dz * dz;
+    return std::sqrt(d2);
+  });
   std::sort(r.begin(), r.end());
   out.r_outer = r.back();
   out.r_half = r[r.size() / 2];

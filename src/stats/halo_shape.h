@@ -75,12 +75,11 @@ struct HaloShape {
 /// tensor accumulates per block of the same deterministic decomposition on
 /// both backends (Serial walks the identical blocks sequentially), with
 /// partials folded in ascending block order — so the tensor, and therefore
-/// the axis ratios, are bit-identical Serial ≡ ThreadPool at every grain.
+/// the axis ratios, are bit-identical Serial ≡ ThreadPool.
 inline HaloShape halo_shape(const sim::ParticleSet& p,
                             std::span<const std::uint32_t> members, double cx,
                             double cy, double cz, double box = 0.0,
-                            dpp::Backend backend = dpp::Backend::Serial,
-                            std::size_t grain = 0) {
+                            dpp::Backend backend = dpp::Backend::Serial) {
   COSMO_REQUIRE(members.size() >= 4, "shape needs at least four particles");
   auto fold = [&](double d) {
     if (box <= 0.0) return d;
@@ -91,7 +90,7 @@ inline HaloShape halo_shape(const sim::ParticleSet& p,
   struct Tensor {
     double i00 = 0, i01 = 0, i02 = 0, i11 = 0, i12 = 0, i22 = 0;
   };
-  const dpp::detail::BlockDecomposition blocks(members.size(), grain);
+  const dpp::detail::BlockDecomposition blocks(members.size(), /*grain=*/0);
   std::vector<Tensor> partial(blocks.num_blocks);
   dpp::for_each_index(
       backend, blocks.num_blocks,

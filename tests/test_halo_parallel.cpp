@@ -36,6 +36,7 @@
 #include "stats/concentration.h"
 #include "stats/halo_shape.h"
 #include "stats/merger_tree.h"
+#include "pool_load.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -692,25 +693,43 @@ TEST(ParallelKdTree, LayoutMatchesGolden) {
 
 // ------------------------------------------------------- per-halo fan-out --
 
-std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P) {
-  sim::SyntheticConfig ucfg;
-  ucfg.box = 32.0;
-  ucfg.halo_count = 12;
-  ucfg.min_particles = 60;
-  ucfg.max_particles = 1200;
-  ucfg.background_particles = 500;
-  ucfg.subclump_fraction = 0.0;
-  ucfg.seed = 31;
-  std::vector<std::vector<std::byte>> per_rank(static_cast<std::size_t>(P));
-  comm::run_spmd(P, [&](comm::Comm& c) {
+// One full halo-pipeline step's input: a universe, its rank count and the
+// halo finder's linking length.
+struct PipelineInput {
+  sim::SyntheticConfig universe;
+  int ranks;
+  std::string linking_length;
+};
+
+// A dozen modest halos at P = 2.
+const PipelineInput kFanout{{.box = 32.0, .seed = 31, .halo_count = 12,
+                             .min_particles = 60, .max_particles = 1200,
+                             .background_particles = 500,
+                             .subclump_fraction = 0.0},
+                            2, "0.3"};
+
+// Fifty halos at P = 1, whose 8,000-particle monster dominates the centring.
+const PipelineInput kMonster{{.box = 48.0, .seed = 20151115, .halo_count = 50,
+                              .min_particles = 60, .max_particles = 8000,
+                              .background_particles = 10000,
+                              .subclump_fraction = 0.0},
+                             1, "0.32"};
+
+// Runs register_full_halo_pipeline for one step; each rank's catalog bytes.
+std::vector<std::vector<std::byte>> run_pipeline(const PipelineInput& in,
+                                                 dpp::Backend backend) {
+  std::vector<std::vector<std::byte>> per_rank(
+      static_cast<std::size_t>(in.ranks));
+  comm::run_spmd(in.ranks, [&](comm::Comm& c) {
     sim::Cosmology cosmo;
-    auto u = sim::generate_synthetic(c, cosmo, ucfg);
-    sim::SlabDecomposition decomp(P, ucfg.box);
-    core::InSituAnalysisManager manager(c, decomp, ucfg.box,
+    auto u = sim::generate_synthetic(c, cosmo, in.universe);
+    sim::SlabDecomposition decomp(in.ranks, in.universe.box);
+    core::InSituAnalysisManager manager(c, decomp, in.universe.box,
                                         u.total_particles, backend);
     core::register_full_halo_pipeline(manager);
     manager.configure(core::CosmoToolsConfig::parse(
-        "[halofinder]\nlinking_length 0.3\nmin_size 40\noverload 2.0\n"));
+        "[halofinder]\nlinking_length " + in.linking_length +
+        "\nmin_size 40\noverload 2.0\n"));
     sim::StepContext step{1, 1, 1.0, 0.0};
     auto ctx = manager.execute_step(step, u.local);
     per_rank[static_cast<std::size_t>(c.rank())] =
@@ -720,12 +739,32 @@ std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P) {
 }
 
 TEST(PerHaloFanout, CatalogBitIdenticalSerialVsThreadPool) {
-  const auto serial = run_pipeline(dpp::Backend::Serial, 2);
-  const auto pooled = run_pipeline(dpp::Backend::ThreadPool, 2);
+  const auto serial = run_pipeline(kFanout, dpp::Backend::Serial);
+  const auto pooled = run_pipeline(kFanout, dpp::Backend::ThreadPool);
   std::size_t bytes = 0;
   for (const auto& r : serial) bytes += r.size();
   ASSERT_GT(bytes, 0u);
   EXPECT_EQ(serial, pooled);
+}
+
+// CRC32 of the monster universe's catalog, sorted by id.
+std::uint32_t monster_catalog_crc(dpp::Backend backend) {
+  auto catalog = stats::catalog_from_bytes(
+      run_pipeline(kMonster, backend).front());
+  stats::sort_catalog(catalog);
+  const auto bytes = stats::catalog_to_bytes(catalog);
+  return crc32(bytes.data(), bytes.size());
+}
+
+// The halo chain's bits — FOF, tree, centres, SO, shape and concentration —
+// pinned on Serial, on an idle pool and on a pool that another thread keeps
+// dispatching on.
+TEST(PerHaloFanout, CatalogMatchesGolden) {
+  EXPECT_EQ(monster_catalog_crc(dpp::Backend::Serial), 0xD930DB70u);
+  EXPECT_EQ(monster_catalog_crc(dpp::Backend::ThreadPool), 0xD930DB70u);
+  EXPECT_EQ(testutil::with_pool_load(
+                [] { return monster_catalog_crc(dpp::Backend::ThreadPool); }),
+            0xD930DB70u);
 }
 
 // ------------------------------------------------------- property kernels --
@@ -741,40 +780,36 @@ TEST(ParallelProperties, KernelsBitIdenticalAcrossBackends) {
   std::vector<std::uint32_t> members(p.size());
   std::iota(members.begin(), members.end(), 0u);
 
-  for (const std::size_t grain : {std::size_t{0}, std::size_t{7},
-                                  std::size_t{256}}) {
-    SoConfig sa, sb;
-    sa.box = sb.box = box;
-    sa.mean_density = sb.mean_density = 1.0;
-    sb.backend = dpp::Backend::ThreadPool;
-    sa.grain = sb.grain = grain;
-    const auto soa = so_mass(p, members, 8.0, 8.0, 8.0, sa);
-    const auto sob = so_mass(p, members, 8.0, 8.0, 8.0, sb);
-    EXPECT_EQ(soa.radius, sob.radius) << "grain " << grain;
-    EXPECT_EQ(soa.mass, sob.mass) << "grain " << grain;
-    EXPECT_EQ(soa.count, sob.count) << "grain " << grain;
+  SoConfig sa, sb;
+  sa.box = sb.box = box;
+  sa.mean_density = sb.mean_density = 1.0;
+  sb.backend = dpp::Backend::ThreadPool;
+  const auto soa = so_mass(p, members, 8.0, 8.0, 8.0, sa);
+  const auto sob = so_mass(p, members, 8.0, 8.0, 8.0, sb);
+  EXPECT_EQ(soa.radius, sob.radius);
+  EXPECT_EQ(soa.mass, sob.mass);
+  EXPECT_EQ(soa.count, sob.count);
 
-    const auto sha = stats::halo_shape(p, members, 8.0, 8.0, 8.0, box,
-                                       dpp::Backend::Serial, grain);
-    const auto shb = stats::halo_shape(p, members, 8.0, 8.0, 8.0, box,
-                                       dpp::Backend::ThreadPool, grain);
-    EXPECT_EQ(sha.a, shb.a) << "grain " << grain;
-    EXPECT_EQ(sha.b_over_a, shb.b_over_a) << "grain " << grain;
-    EXPECT_EQ(sha.c_over_a, shb.c_over_a) << "grain " << grain;
+  const auto sha = stats::halo_shape(p, members, 8.0, 8.0, 8.0, box,
+                                     dpp::Backend::Serial);
+  const auto shb = stats::halo_shape(p, members, 8.0, 8.0, 8.0, box,
+                                     dpp::Backend::ThreadPool);
+  EXPECT_EQ(sha.a, shb.a);
+  EXPECT_EQ(sha.b_over_a, shb.b_over_a);
+  EXPECT_EQ(sha.c_over_a, shb.c_over_a);
 
-    const auto ca = stats::concentration(p, members, 8.0, 8.0, 8.0, box,
-                                         dpp::Backend::Serial, grain);
-    const auto cb = stats::concentration(p, members, 8.0, 8.0, 8.0, box,
-                                         dpp::Backend::ThreadPool, grain);
-    EXPECT_EQ(ca.c, cb.c) << "grain " << grain;
-    EXPECT_EQ(ca.r_half, cb.r_half) << "grain " << grain;
+  const auto ca = stats::concentration(p, members, 8.0, 8.0, 8.0, box,
+                                       dpp::Backend::Serial);
+  const auto cb = stats::concentration(p, members, 8.0, 8.0, 8.0, box,
+                                       dpp::Backend::ThreadPool);
+  EXPECT_EQ(ca.c, cb.c);
+  EXPECT_EQ(ca.r_half, cb.r_half);
 
-    const auto fa = stats::concentration_profile_fit(
-        p, members, 8.0, 8.0, 8.0, box, 16, dpp::Backend::Serial, grain);
-    const auto fb = stats::concentration_profile_fit(
-        p, members, 8.0, 8.0, 8.0, box, 16, dpp::Backend::ThreadPool, grain);
-    EXPECT_EQ(fa.c, fb.c) << "grain " << grain;
-  }
+  const auto fa = stats::concentration_profile_fit(
+      p, members, 8.0, 8.0, 8.0, box, 16, dpp::Backend::Serial);
+  const auto fb = stats::concentration_profile_fit(
+      p, members, 8.0, 8.0, 8.0, box, 16, dpp::Backend::ThreadPool);
+  EXPECT_EQ(fa.c, fb.c);
 }
 
 // ----------------------------------------------------- MBP tile kernel --

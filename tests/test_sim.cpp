@@ -22,6 +22,7 @@
 #include "sim/pm_solver.h"
 #include "sim/simulation.h"
 #include "sim/synthetic.h"
+#include "pool_load.h"
 
 namespace {
 
@@ -292,6 +293,104 @@ TEST_P(DecompRanks, OverloadGhostsComeFromAdjacentBoundary) {
   });
 }
 
+// exchange_overload as it stood before it appended each ghost straight from
+// the message, kept as the reference: ghosts copied out through alltoallv
+// and appended in source order, and at P == 1 the seam ghosts from a loop
+// of their own.
+SlabDecomposition::Overloaded overload_through_alltoallv(
+    comm::Comm& comm, const SlabDecomposition& d, const ParticleSet& owned,
+    double width) {
+  const int nranks = d.nranks();
+  const double box = d.box();
+  SlabDecomposition::Overloaded out;
+  out.particles = owned;
+  out.owned_count = owned.size();
+  if (nranks == 1) {
+    if (width > 0.0) {
+      ParticleSet& p = out.particles;
+      const std::size_t n = p.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (p.z[i] < width) {
+          PackedParticle w = pack_particle(p, i);
+          w.z += static_cast<float>(box);
+          unpack_particle(w, p);
+        } else if (p.z[i] >= box - width) {
+          PackedParticle w = pack_particle(p, i);
+          w.z -= static_cast<float>(box);
+          unpack_particle(w, p);
+        }
+      }
+    }
+    return out;
+  }
+
+  const int rank = comm.rank();
+  const int lo_nbr = (rank + nranks - 1) % nranks;
+  const int hi_nbr = (rank + 1) % nranks;
+  const double zlo = d.z_lo(rank), zhi = d.z_hi(rank);
+
+  std::vector<std::vector<PackedParticle>> send(
+      static_cast<std::size_t>(nranks));
+  for (std::size_t i = 0; i < owned.size(); ++i) {
+    const double zz = owned.z[i];
+    if (zz < zlo + width) {
+      PackedParticle w = pack_particle(owned, i);
+      if (rank == 0) w.z += static_cast<float>(box);
+      send[static_cast<std::size_t>(lo_nbr)].push_back(w);
+    }
+    if (zz >= zhi - width) {
+      PackedParticle w = pack_particle(owned, i);
+      if (rank == nranks - 1) w.z -= static_cast<float>(box);
+      send[static_cast<std::size_t>(hi_nbr)].push_back(w);
+    }
+  }
+  auto recv = comm.alltoallv(send);
+  for (const auto& buf : recv)
+    for (const auto& w : buf) unpack_particle(w, out.particles);
+  return out;
+}
+
+// The overload's ghosts and their order are FOF's input. Each rank owns
+// particles on and beside its slab faces (the box faces among them) and
+// both edges of each band, plus random ones; the bands are 2 wide and just
+// under half a slab wide.
+TEST_P(DecompRanks, OverloadKeepsTheOrder) {
+  const int P = GetParam();
+  const double box = 64.0;
+  comm::run_spmd(P, [&](comm::Comm& c) {
+    SlabDecomposition d(P, box);
+    const double lo = d.z_lo(c.rank()), hi = d.z_hi(c.rank());
+    for (const double width :
+         {2.0, std::nextafter(d.slab_thickness() / 2, 0.0)}) {
+      ParticleSet mine;
+      Rng rng(53 + static_cast<std::uint64_t>(c.rank()));
+      std::int64_t tag = c.rank() * 100000;
+      auto add = [&](float z) {
+        if (!(z >= lo && z < hi)) return;  // owned particles only
+        const auto x = static_cast<float>(rng.uniform(0, box));
+        const auto y = static_cast<float>(rng.uniform(0, box));
+        const auto v = static_cast<float>(rng.normal());
+        const std::int64_t t = tag++;
+        mine.push_back(x, y, z, v, -v, 2 * v, t, static_cast<float>(t));
+      };
+      for (const double edge : {lo, hi, lo + width, hi - width}) {
+        const auto f = static_cast<float>(edge);
+        add(f);
+        add(std::nextafter(f, -1.0f));
+        add(std::nextafter(f, 2.0f * static_cast<float>(box)));
+      }
+      for (int i = 0; i < 400; ++i)
+        add(static_cast<float>(rng.uniform(lo, hi)));
+      const auto want = overload_through_alltoallv(c, d, mine, width);
+      const auto got = d.exchange_overload(c, mine, width);
+      EXPECT_EQ(got.owned_count, want.owned_count);
+      EXPECT_GT(got.particles.size(), got.owned_count);
+      EXPECT_TRUE(same_particles(got.particles, want.particles))
+          << "rank " << c.rank() << ", width " << width;
+    }
+  });
+}
+
 TEST(Decomp, OverloadWidthMustFitSlab) {
   comm::run_spmd(4, [&](comm::Comm& c) {
     SlabDecomposition d(4, 64.0);
@@ -418,6 +517,47 @@ TEST_P(PmRanks, DepositBackendsBitIdentical) {
     ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << "rank " << c.rank();
   });
+}
+
+// CRC32 of the δ field, ghost planes included, that one deposit of 4·64³
+// uniform particles gives on a 64³ grid at P = 1.
+std::uint32_t uniform_deposit_crc(dpp::Backend backend) {
+  constexpr double kBox = 64.0;
+  std::uint32_t crc = 0;
+  comm::run_spmd(1, [&](comm::Comm& c) {
+    Cosmology cosmo;
+    PmSolver pm(c, cosmo, 64, kBox);
+    pm.set_backend(backend);
+    ParticleSet p;
+    Rng rng(20151115);
+    // One call draws x, y and z in the order the compiler evaluates the
+    // arguments; the golden was recorded with GCC's order.
+    for (std::size_t i = 0; i < 4 * 64 * 64 * 64; ++i)
+      p.push_back(static_cast<float>(rng.uniform(0, kBox)),
+                  static_cast<float>(rng.uniform(0, kBox)),
+                  static_cast<float>(rng.uniform(0, kBox)), 0, 0, 0, 0);
+    const auto delta = pm.deposit_density(p, 4.0);
+    const auto d = delta.data();
+    crc = crc32(d.data(), d.size() * sizeof(double));
+  });
+  return crc;
+}
+
+// The deposit's bits, pinned on Serial, on an idle pool and on a pool that
+// another thread keeps dispatching on. Here deposit_reduce merges
+// min(4 · workers, 1 + 8n/m) blocks, so the bits depend on the pool width:
+// the golden was recorded on a 4-worker pool (2, 3 and 8 workers give
+// other CRCs), and every width must agree across the three runs.
+TEST(PmSolver, DepositMatchesGolden) {
+  const std::uint32_t serial = uniform_deposit_crc(dpp::Backend::Serial);
+  EXPECT_EQ(uniform_deposit_crc(dpp::Backend::ThreadPool), serial);
+  EXPECT_EQ(testutil::with_pool_load([] {
+              return uniform_deposit_crc(dpp::Backend::ThreadPool);
+            }),
+            serial);
+  if (dpp::ThreadPool::instance().workers() == 4) {
+    EXPECT_EQ(serial, 0x2D6FA698u) << std::hex << "δ drifted: 0x" << serial;
+  }
 }
 
 // fx, fy and fz share one ghost exchange: one alltoallv per accelerations
