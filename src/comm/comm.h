@@ -401,16 +401,12 @@ class Comm {
   /// receive waits here, so comm.recv_wait_us times every wait.
   detail::Message take(int source, int tag) {
     COSMO_REQUIRE(source >= 0 && source < size(), "source rank out of range");
-#ifndef COSMO_OBS_DISABLED
     WallTimer wait_timer;
-#endif
     detail::Message msg = world_->box(rank_).take(source, tag);
-#ifndef COSMO_OBS_DISABLED
     COSMO_COUNT("comm.recv_wait_us",
                 static_cast<std::uint64_t>(wait_timer.seconds() * 1e6));
     COSMO_COUNT("comm.msgs_recv", 1);
     COSMO_COUNT("comm.bytes_recv", msg.payload.size());
-#endif
     return msg;
   }
 

@@ -132,8 +132,6 @@ class InSituAnalysisManager {
     algorithms_.push_back(std::move(algorithm));
   }
 
-  std::size_t algorithm_count() const { return algorithms_.size(); }
-
   /// Configures every registered algorithm from its config section.
   void configure(const CosmoToolsConfig& config) {
     for (auto& a : algorithms_) a->SetParameters(config.section(a->Name()));

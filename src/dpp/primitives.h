@@ -20,7 +20,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -52,8 +51,6 @@ void for_each_range(Backend b, std::size_t n, Fn&& fn, std::size_t grain = 0) {
     }
     return;
   }
-  COSMO_HISTOGRAM("dpp.chunk_items_log10", 0.0, 9.0, 36,
-                  n ? std::log10(static_cast<double>(n)) : 0.0);
   ThreadPool::instance().parallel_for(n, fn, grain);
 }
 
@@ -128,39 +125,39 @@ void for_each_chunk(Backend b, std::size_t n, Fn fn, std::size_t grain = 0) {
 /// scatter(buf, i) must only ever += into `buf` (a dest-sized span).
 /// Contributions are accumulated on top of dest's existing contents.
 ///
-/// Parallel structure: the item range is cut into a bounded number of
-/// contiguous blocks (at most kMaxDepositBuffers × pool-width private
-/// buffers, so memory stays O(workers × dest.size()) no matter the grain).
-/// Block 0 scatters directly into dest; every other block scatters into
-/// its own zero-filled private buffer. The buffers are then merged into
-/// dest in fixed ascending block order, sliced across disjoint dest ranges
-/// so the merge itself parallelizes race-free.
+/// Parallel structure: the item range is cut into at most
+/// kMaxDepositBlocks contiguous blocks, so a deposit holds at most 15
+/// private buffers (15 × dest.size() elements) whatever the grain or the
+/// pool width. Block 0 scatters directly into dest; every other block
+/// scatters into its own zero-filled private buffer. The buffers are then
+/// merged into dest in fixed ascending block order, sliced across disjoint
+/// dest ranges so the merge itself parallelizes race-free.
 ///
 /// Determinism contract: block boundaries and merge order depend only on
-/// (n, grain, pool width) — never on which thread ran which block — and
-/// the Serial backend runs the *same* blocks and the same additions one
-/// block at a time through a single reused buffer. Serial and ThreadPool
-/// results are therefore bit-identical for floating point T, per call
-/// shape. (Results for non-associative += can differ across *grains*,
-/// which change the block structure.)
+/// (n, dest.size(), grain) — never on the pool width or on which thread
+/// ran which block — and the Serial backend runs the *same* blocks and the
+/// same additions one block at a time through a single reused buffer.
+/// Serial and ThreadPool results are therefore bit-identical for floating
+/// point T, per call shape, on every host. (Results for non-associative +=
+/// can differ across *grains*, which change the block structure.)
 template <typename T, typename Scatter>
 void deposit_reduce(Backend b, std::size_t n, std::span<T> dest,
                     Scatter scatter, std::size_t grain = 0) {
   COSMO_COUNT("dpp.deposit_calls", 1);
   COSMO_COUNT("dpp.deposit_items", n);
   if (n == 0) return;
-  constexpr std::size_t kMaxDepositBuffers = 4;  // per pool worker
-  const std::size_t nw = ThreadPool::instance().workers();
-  // Two caps on the block count, both deterministic in (n, m, pool width):
-  // memory stays O(workers) buffers, and merge work ((blocks−1)·m adds)
-  // stays within ~8 adds per item — the CIC scatter's own cost — so the
-  // reduction never dominates in the sparse items-per-cell regime.
+  constexpr std::size_t kMaxDepositBlocks = 16;
+  // Two caps on the block count, both deterministic in (n, m): memory stays
+  // within 15 private buffers, and merge work ((blocks−1)·m adds) stays
+  // within ~8 adds per item — the CIC scatter's own cost — so the reduction
+  // never dominates in the sparse items-per-cell regime. The block size is
+  // passed as an explicit grain, so the pool width never enters.
   const std::size_t m = dest.size();
-  std::size_t max_blocks = kMaxDepositBuffers * nw;
+  std::size_t max_blocks = kMaxDepositBlocks;
   if (m > 0) max_blocks = std::min(max_blocks, 1 + 8 * n / m);
-  if (max_blocks < 1) max_blocks = 1;
-  const std::size_t min_block = (n + max_blocks - 1) / max_blocks;
-  const detail::BlockDecomposition blocks(n, grain, min_block);
+  const std::size_t block_size =
+      std::max((n + max_blocks - 1) / max_blocks, grain);
+  const detail::BlockDecomposition blocks(n, block_size);
   if (blocks.num_blocks <= 1) {
     // Single block: in-order scatter straight into dest, both backends.
     for (std::size_t i = 0; i < n; ++i) scatter(dest, i);

@@ -24,9 +24,9 @@
 //     global dispatch lock anywhere on this path.
 //   * The dispatching thread help-executes: it claims chunks of its own
 //     group like any worker, then blocks only for chunks still in flight
-//     on other threads. "dpp.dispatch_wait_us"/"dpp.dispatch_wait_ms" now
-//     measure exactly that tail (steal/straggler latency), not lock
-//     queueing as before the redesign.
+//     on other threads. "dpp.dispatch_wait_us" now measures exactly that
+//     tail (steal/straggler latency), not lock queueing as before the
+//     redesign.
 //   * Re-entrancy is safe by construction: a parallel_for issued from
 //     inside a worker (or from a caller already helping) submits a new
 //     group and help-executes it. Blocking only ever waits on chunks that
@@ -77,7 +77,6 @@ class ThreadPool {
     threads_.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
       threads_.emplace_back([this, w] { worker_loop(w); });
-    COSMO_GAUGE_SET("dpp.pool_workers", workers);
   }
 
   ThreadPool(const ThreadPool&) = delete;
@@ -127,36 +126,24 @@ class ThreadPool {
     group->grain = grain;
     group->num_chunks = (n + grain - 1) / grain;
     group->unfinished.store(group->num_chunks, std::memory_order_relaxed);
-#ifndef COSMO_OBS_DISABLED
     COSMO_COUNT("dpp.dispatches", 1);
     COSMO_COUNT("dpp.dispatch_items", n);
     COSMO_COUNT("dpp.dispatch_chunks", group->num_chunks);
     if (in_worker()) COSMO_COUNT("dpp.nested_dispatches", 1);
-#endif
     const std::size_t home = submit(group);
     // Help-execute our own group: the dispatching thread is a full
     // participant, so a dispatch always makes progress even when every
     // worker is busy with other ranks' groups.
     run_chunks(*group, /*helping=*/true);
-#ifndef COSMO_OBS_DISABLED
-    double waited_s = 0.0;  // no-wait dispatches record 0: one sample per
-                            // dispatch keeps the histogram comparable
-#endif
+    double waited_s = 0.0;
     if (group->unfinished.load(std::memory_order_acquire) != 0) {
-#ifndef COSMO_OBS_DISABLED
       WallTimer wait_timer;
-#endif
       std::unique_lock lock(group->mutex);
       group->done_cv.wait(lock, [&] { return group->done; });
-#ifndef COSMO_OBS_DISABLED
       waited_s = wait_timer.seconds();
-#endif
     }
-#ifndef COSMO_OBS_DISABLED
     COSMO_COUNT("dpp.dispatch_wait_us",
                 static_cast<std::uint64_t>(waited_s * 1e6));
-    COSMO_HISTOGRAM("dpp.dispatch_wait_ms", 0.0, 50.0, 50, waited_s * 1e3);
-#endif
     retire(home, group.get());
     // Visibility: the error write happened before the final unfinished
     // decrement (acq_rel), which we observed either directly or through the
@@ -258,10 +245,8 @@ class ThreadPool {
         std::lock_guard lock(group.mutex);
         if (!group.error) group.error = std::current_exception();
       }
-#ifndef COSMO_OBS_DISABLED
       COSMO_COUNT("dpp.chunks_run", 1);
       if (helping) COSMO_COUNT("dpp.chunks_helped", 1);
-#endif
       // acq_rel: our fn's writes release into the counter chain; the thread
       // observing 0 (or the waiter woken below) acquires them all.
       if (group.unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {

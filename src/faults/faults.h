@@ -13,9 +13,8 @@
 //     sequential RNG stream, so they are independent of thread interleaving:
 //     a site whose per-rank call sequence is deterministic injects the exact
 //     same faults on every run with the same seed.
-//   * `COSMO_FAULT_POINT("site")` — the hot-path query, compiled out to a
-//     constant `false` under COSMO_FAULTS_DISABLED (mirroring the obs
-//     macros), so release builds pay nothing.
+//   * `COSMO_FAULT_POINT("site")` — the hot-path query, false when no plan
+//     is armed.
 //
 // A plan is configured first, then armed with `ScopedPlan`; every injection
 // is logged as (site, rank, occurrence) and counted under `faults.injected`,
@@ -280,9 +279,7 @@ inline std::uint64_t jitter(std::string_view name, std::uint64_t attempt,
 }  // namespace cosmo::faults
 
 // Fault-point macros. Injection sites in library code use these, never the
-// free functions directly, so COSMO_FAULTS_DISABLED can compile every site
-// down to a constant and dead-code-eliminate the failure branches.
-#ifndef COSMO_FAULTS_DISABLED
+// free functions directly.
 
 /// True when the armed plan injects a fault at `site` for this query.
 #define COSMO_FAULT_POINT(site) (::cosmo::faults::should_inject(site))
@@ -290,11 +287,3 @@ inline std::uint64_t jitter(std::string_view name, std::uint64_t attempt,
 /// Integer parameter attached to `site` in the armed plan, else `fallback`.
 #define COSMO_FAULT_PARAM(site, fallback) \
   (::cosmo::faults::site_param(site, (fallback)))
-
-#else
-
-#define COSMO_FAULT_POINT(site) (false)
-#define COSMO_FAULT_PARAM(site, fallback) \
-  (static_cast<std::uint64_t>(fallback))
-
-#endif  // COSMO_FAULTS_DISABLED

@@ -379,10 +379,6 @@ inline std::vector<FofHalo> fof_find(const sim::ParticleSet& p,
   for (std::uint32_t k = 0; k < n; ++k) root[idx[k]] = sets.find(k);
   auto out = detail::group_halos(p, root, cfg.min_size);
   COSMO_COUNT("halo.fof_halos", out.size());
-  COSMO_GAUGE_SET("halo.largest_halo_frac",
-                  out.empty() ? 0.0
-                              : static_cast<double>(out.front().members.size()) /
-                                    static_cast<double>(n));
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Cross-rank metric aggregation via communicator reductions.
+// Cross-rank counter aggregation via communicator reductions.
 //
 // Separated from obs/metrics.h because it depends on comm::Comm (and comm
 // itself is instrumented with obs, so obs core must stay below comm in the
@@ -6,13 +6,12 @@
 //
 // Every function here is COLLECTIVE: all ranks of the communicator must
 // call it in matching order, exactly like the reductions it is built on.
-// Each rank contributes its local shard (Counter::local / histogram
-// local_counts) — the same contract MPI codes follow, where cross-rank
-// totals only exist after an explicit reduction.
+// Each rank contributes its local shard (Counter::local) — the same
+// contract MPI codes follow, where cross-rank totals only exist after an
+// explicit reduction.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,19 +36,6 @@ inline CounterAggregate aggregate_counter(comm::Comm& c,
   a.min = c.allreduce_value<std::uint64_t>(local, comm::ReduceOp::Min);
   a.max = c.allreduce_value<std::uint64_t>(local, comm::ReduceOp::Max);
   return a;
-}
-
-/// Element-wise sum of a histogram's per-rank bin counts; layout matches
-/// HistogramMetric::local_counts ([bins..., underflow, overflow]).
-inline std::vector<std::uint64_t> aggregate_histogram(comm::Comm& c,
-                                                      const std::string& name,
-                                                      double lo, double hi,
-                                                      std::size_t bins) {
-  const auto local = MetricsRegistry::instance()
-                         .histogram(name, lo, hi, bins)
-                         .local_counts(c.rank());
-  return c.allreduce<std::uint64_t>(
-      std::span<const std::uint64_t>(local), comm::ReduceOp::Sum);
 }
 
 struct NamedCounterAggregate {

@@ -6,9 +6,6 @@
 // rank that produced it — the basis of the paper's per-node ledgers. Threads
 // outside any rank (the main thread, pool workers, the Listener) report
 // rank -1.
-//
-// This header is always active, even under COSMO_OBS_DISABLED: it is a
-// single thread-local int, and the runtime needs it to stay well-defined.
 #pragma once
 
 namespace cosmo::obs {

@@ -1,13 +1,11 @@
-// Metrics registry — named counters, gauges, and histograms.
+// Metrics registry — named counters, the one metric kind.
 //
 // Counters shard by SPMD rank (obs/context.h): each rank-thread accumulates
 // into its own atomic slot, so both the process total and any single rank's
 // contribution are recoverable. That mirrors MPI reality — every rank owns
 // its local count and cross-rank views are built with communicator
 // reductions (obs/aggregate.h) — while staying contention-free in this
-// repo's ranks-as-threads runtime. Histograms reuse util/histogram.h's
-// LinearHistogram, per rank shard, so bin counts aggregate across ranks by
-// element-wise sum.
+// repo's ranks-as-threads runtime.
 //
 // Lookup is by name under a mutex; hot paths cache the returned reference
 // in a function-local static (see COSMO_COUNT in obs/obs.h), so the steady
@@ -25,8 +23,6 @@
 #include <vector>
 
 #include "obs/context.h"
-#include "util/error.h"
-#include "util/histogram.h"
 #include "util/table.h"
 
 namespace cosmo::obs {
@@ -70,98 +66,7 @@ class Counter {
   std::array<std::atomic<std::uint64_t>, detail::kRankSlots> slots_{};
 };
 
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) { bits_.store(encode(v), std::memory_order_relaxed); }
-  double value() const { return decode(bits_.load(std::memory_order_relaxed)); }
-  void reset() { set(0.0); }
-
- private:
-  static std::uint64_t encode(double v) {
-    std::uint64_t b;
-    static_assert(sizeof(b) == sizeof(v));
-    __builtin_memcpy(&b, &v, sizeof(b));
-    return b;
-  }
-  static double decode(std::uint64_t b) {
-    double v;
-    __builtin_memcpy(&v, &b, sizeof(v));
-    return v;
-  }
-  std::atomic<std::uint64_t> bits_{0};
-};
-
-/// Fixed-binning histogram metric, one LinearHistogram shard per rank.
-/// Binning is set by the first registration of the name (first-wins).
-class HistogramMetric {
- public:
-  HistogramMetric(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), bins_(bins) {
-    COSMO_REQUIRE(hi > lo && bins > 0, "bad histogram metric binning");
-  }
-
-  void observe(double x) {
-    std::lock_guard lock(mutex_);
-    shard(detail::current_slot()).add(x);
-  }
-
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t bins() const { return bins_; }
-
-  /// Merged view over every rank.
-  LinearHistogram merged() const {
-    std::lock_guard lock(mutex_);
-    LinearHistogram out(lo_, hi_, bins_);
-    for (const auto& [_, h] : shards_) merge_into(out, h);
-    return out;
-  }
-
-  /// One rank's bin counts, laid out [bin 0 .. bin N-1, underflow,
-  /// overflow] — the aggregation payload (element-wise summable).
-  std::vector<std::uint64_t> local_counts(int rank) const {
-    std::lock_guard lock(mutex_);
-    std::vector<std::uint64_t> out(bins_ + 2, 0);
-    const auto it = shards_.find(detail::slot_for_rank(rank));
-    if (it == shards_.end()) return out;
-    for (std::size_t b = 0; b < bins_; ++b) out[b] = it->second.count(b);
-    out[bins_] = it->second.underflow();
-    out[bins_ + 1] = it->second.overflow();
-    return out;
-  }
-
-  std::uint64_t total() const { return merged().total(); }
-
-  void reset() {
-    std::lock_guard lock(mutex_);
-    shards_.clear();
-  }
-
- private:
-  LinearHistogram& shard(std::size_t slot) {
-    auto it = shards_.find(slot);
-    if (it == shards_.end())
-      it = shards_.emplace(slot, LinearHistogram(lo_, hi_, bins_)).first;
-    return it->second;
-  }
-
-  static void merge_into(LinearHistogram& acc, const LinearHistogram& h) {
-    // Replays bin contents by center; under/overflow transfer via sentinels.
-    for (std::size_t b = 0; b < h.bins(); ++b)
-      for (std::uint64_t c = 0; c < h.count(b); ++c) acc.add(h.bin_center(b));
-    for (std::uint64_t c = 0; c < h.underflow(); ++c) acc.add(acc.bin_lo(0) - 1.0);
-    for (std::uint64_t c = 0; c < h.overflow(); ++c)
-      acc.add(acc.bin_lo(0) + (acc.width() * static_cast<double>(acc.bins())) + 1.0);
-  }
-
-  double lo_, hi_;
-  std::size_t bins_;
-  mutable std::mutex mutex_;
-  std::map<std::size_t, LinearHistogram> shards_;
-};
-
-/// Process-wide registry of named metrics. References returned are stable
+/// Process-wide registry of named counters. References returned are stable
 /// for the process lifetime.
 class MetricsRegistry {
  public:
@@ -177,28 +82,9 @@ class MetricsRegistry {
     return *slot;
   }
 
-  Gauge& gauge(const std::string& name) {
-    std::lock_guard lock(mutex_);
-    auto& slot = gauges_[name];
-    if (!slot) slot = std::make_unique<Gauge>();
-    return *slot;
-  }
-
-  HistogramMetric& histogram(const std::string& name, double lo, double hi,
-                             std::size_t bins) {
-    std::lock_guard lock(mutex_);
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<HistogramMetric>(lo, hi, bins);
-    return *slot;
-  }
-
   bool has_counter(const std::string& name) const {
     std::lock_guard lock(mutex_);
     return counters_.count(name) != 0;
-  }
-  bool has_histogram(const std::string& name) const {
-    std::lock_guard lock(mutex_);
-    return histograms_.count(name) != 0;
   }
 
   std::vector<std::string> counter_names() const {
@@ -209,33 +95,19 @@ class MetricsRegistry {
     return out;  // std::map iteration: already sorted
   }
 
-  std::vector<std::string> histogram_names() const {
-    std::lock_guard lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(histograms_.size());
-    for (const auto& [name, _] : histograms_) out.push_back(name);
-    return out;
-  }
-
-  /// Zeroes every metric (names and binnings survive). For tests/benches.
+  /// Zeroes every counter (names survive). For tests/benches.
   void reset() {
     std::lock_guard lock(mutex_);
     for (auto& [_, c] : counters_) c->reset();
-    for (auto& [_, g] : gauges_) g->reset();
-    for (auto& [_, h] : histograms_) h->reset();
   }
 
-  /// Plaintext dump of every counter/gauge and histogram totals.
+  /// Plaintext dump of every counter's process total.
   void print(std::ostream& os) const {
-    TextTable t({"metric", "kind", "value"});
+    TextTable t({"counter", "total"});
     {
       std::lock_guard lock(mutex_);
       for (const auto& [name, c] : counters_)
-        t.add_row({name, "counter", std::to_string(c->total())});
-      for (const auto& [name, g] : gauges_)
-        t.add_row({name, "gauge", TextTable::num(g->value(), 4)});
-      for (const auto& [name, h] : histograms_)
-        t.add_row({name, "histogram", std::to_string(h->total()) + " samples"});
+        t.add_row({name, std::to_string(c->total())});
     }
     t.print(os);
   }
@@ -245,8 +117,6 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
 };
 
 }  // namespace cosmo::obs

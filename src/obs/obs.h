@@ -1,20 +1,15 @@
-// cosmo::obs — the observability layer: span tracing + metrics.
+// cosmo::obs — the observability layer: span tracing + counters.
 //
 // Include this one header to instrument code. Two surfaces:
 //   * RAII spans (trace.h): COSMO_TRACE_SPAN("io.read") scopes a timed,
 //     rank-tagged span; exportable as Chrome trace JSON + summary table.
-//   * Metrics (metrics.h): COSMO_COUNT("comm.bytes_sent", n) and friends
-//     update named counters/gauges/histograms, sharded per rank and
-//     aggregatable across ranks with communicator reductions
-//     (obs/aggregate.h — include separately, it depends on comm).
+//   * Counters (metrics.h): COSMO_COUNT("comm.bytes_sent", n) adds to a
+//     named counter, sharded per rank and aggregatable across ranks with
+//     communicator reductions (obs/aggregate.h — include separately, it
+//     depends on comm).
 //
-// Compile-out: defining COSMO_OBS_DISABLED (per target, e.g.
-// `target_compile_definitions(tgt PRIVATE COSMO_OBS_DISABLED)`) turns every
-// macro below into a no-op and strips TimedSpan down to its wall timer, so
-// instrumented hot paths carry zero observability cost. The flag is a
-// whole-binary switch: mixing enabled and disabled translation units in one
-// binary is not supported (it would violate the one-definition rule for
-// TimedSpan).
+// Tracer::set_enabled(false) is the runtime switch: spans stop recording,
+// counters keep counting.
 #pragma once
 
 #include "obs/context.h"
@@ -23,8 +18,6 @@
 
 #define COSMO_OBS_CONCAT_IMPL(a, b) a##b
 #define COSMO_OBS_CONCAT(a, b) COSMO_OBS_CONCAT_IMPL(a, b)
-
-#ifndef COSMO_OBS_DISABLED
 
 /// Scoped span for the rest of the enclosing block.
 #define COSMO_TRACE_SPAN(name)                                        \
@@ -45,41 +38,3 @@
         ::cosmo::obs::MetricsRegistry::instance().counter(name);      \
     cosmo_obs_counter_.add(static_cast<std::uint64_t>(n));            \
   } while (0)
-
-/// Sets the named gauge to `v`.
-#define COSMO_GAUGE_SET(name, v)                                      \
-  do {                                                                \
-    static ::cosmo::obs::Gauge& cosmo_obs_gauge_ =                    \
-        ::cosmo::obs::MetricsRegistry::instance().gauge(name);        \
-    cosmo_obs_gauge_.set(static_cast<double>(v));                     \
-  } while (0)
-
-/// Records `x` into the named histogram ([lo, hi) with `bins` bins; the
-/// binning is fixed by the first registration of the name).
-#define COSMO_HISTOGRAM(name, lo, hi, bins, x)                        \
-  do {                                                                \
-    static ::cosmo::obs::HistogramMetric& cosmo_obs_hist_ =           \
-        ::cosmo::obs::MetricsRegistry::instance().histogram(          \
-            name, lo, hi, bins);                                      \
-    cosmo_obs_hist_.observe(static_cast<double>(x));                  \
-  } while (0)
-
-#else  // COSMO_OBS_DISABLED: everything compiles to nothing.
-
-#define COSMO_TRACE_SPAN(name) \
-  do {                         \
-  } while (0)
-#define COSMO_TRACE_SPAN_CAT(name, cat) \
-  do {                                  \
-  } while (0)
-#define COSMO_COUNT(name, n) \
-  do {                       \
-  } while (0)
-#define COSMO_GAUGE_SET(name, v) \
-  do {                           \
-  } while (0)
-#define COSMO_HISTOGRAM(name, lo, hi, bins, x) \
-  do {                                         \
-  } while (0)
-
-#endif  // COSMO_OBS_DISABLED

@@ -35,12 +35,9 @@
 
 namespace cosmo::obs {
 
-/// True when instrumentation is compiled in (COSMO_OBS_DISABLED unset).
-#ifdef COSMO_OBS_DISABLED
-inline constexpr bool kObsEnabled = false;
-#else
+/// Instrumentation is always compiled in. Kept for cosmobench's
+/// `obs_disabled` metadata field, which reads it.
 inline constexpr bool kObsEnabled = true;
-#endif
 
 /// One completed span. Times are microseconds since the process epoch.
 struct Span {
@@ -334,10 +331,9 @@ class ScopedSpan {
 };
 
 /// Phase timer + span in one object. Always measures wall-clock (the
-/// workflow ledger needs numbers even with instrumentation compiled out);
-/// when observability is enabled the same interval is recorded as a span,
+/// workflow ledger needs numbers even while the tracer is switched off at
+/// run time); while tracing is on, the same interval is recorded as a span,
 /// so the ledger and the trace cannot disagree.
-#ifndef COSMO_OBS_DISABLED
 class TimedSpan {
  public:
   explicit TimedSpan(std::string name, std::string cat = {})
@@ -357,16 +353,5 @@ class TimedSpan {
   WallTimer timer_;
   ScopedSpan span_;
 };
-#else
-class TimedSpan {
- public:
-  explicit TimedSpan(const std::string&, const std::string& = {}) {}
-  double seconds() const { return timer_.seconds(); }
-  double finish() { return timer_.seconds(); }
-
- private:
-  WallTimer timer_;
-};
-#endif
 
 }  // namespace cosmo::obs

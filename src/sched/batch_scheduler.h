@@ -203,10 +203,6 @@ class BatchScheduler {
           j.start_time = now_;
           j.end_time = now_ + j.duration_s;
           COSMO_COUNT("sched.jobs_started", 1);
-          COSMO_HISTOGRAM("sched.queue_wait_s", 0.0, 3600.0, 72,
-                          now_ - j.submit_time);
-          COSMO_HISTOGRAM("sched.job_runtime_s", 0.0, 3600.0, 72,
-                          j.duration_s);
           progress = true;
           any_started = true;
         } else if (profile_.policy.strict_fifo) {

@@ -60,8 +60,6 @@ class MergerTreeBuilder {
     snapshots_.emplace(step, std::move(halos));
   }
 
-  std::size_t snapshot_count() const { return snapshots_.size(); }
-
   /// Computes all links; call once after adding every snapshot. The
   /// per-progenitor overlap counts are independent (the owner map is
   /// read-only), so they fan out as one pool task per progenitor halo;

@@ -1,8 +1,8 @@
-// Bounded retry with exponential backoff and deterministic jitter.
+// Bounded retry with doubling backoff and deterministic jitter.
 //
 // Transient failures — a staging put that hit a full device, a Listener
 // submit that bounced, a Level 2 write interrupted mid-file — are absorbed by
-// retrying a bounded number of times with exponentially growing backoff.
+// retrying a bounded number of times with a backoff that doubles per attempt.
 // Jitter is drawn from the armed fault plan's seed (faults::jitter), not a
 // wall-clock RNG, so a failing run replays with the exact same backoff
 // schedule. All attempts/successes/exhaustions are counted in the metrics
@@ -12,10 +12,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "faults/faults.h"
 #include "obs/obs.h"
@@ -23,54 +21,36 @@
 
 namespace cosmo::util {
 
-/// Retry policy knobs. Durations of std::chrono::milliseconds::max() mean
-/// "unlimited"; a zero total_budget expires before the first attempt (the
-/// degenerate case tests pin down explicitly).
+/// Retry policy knobs. The backoff doubles after each failed attempt.
 struct RetryPolicy {
   int max_attempts = 3;
   std::chrono::milliseconds initial_backoff{1};
-  double backoff_multiplier = 2.0;
-  /// Ceiling on the exponential term (jitter rides on top).
+  /// Ceiling on the doubling term (jitter rides on top).
   std::chrono::milliseconds max_backoff{64};
   /// Maximum deterministic jitter added to each backoff.
   std::chrono::milliseconds max_jitter{0};
-  /// An attempt slower than this counts as failed even if it returned true
-  /// (the caller already gave up on it).
-  std::chrono::milliseconds attempt_timeout{std::chrono::milliseconds::max()};
-  /// Wall-clock budget across all attempts and backoffs.
-  std::chrono::milliseconds total_budget{std::chrono::milliseconds::max()};
 };
 
 /// Outcome of a Retry::run call.
 struct RetryResult {
   bool success = false;
   int attempts = 0;
-  /// True when the total_budget expired before the attempts were exhausted
-  /// (possibly before the first attempt ever ran).
-  bool budget_exhausted = false;
-  /// Backoff actually applied after each failed (non-final) attempt.
-  std::vector<std::chrono::milliseconds> backoffs;
-  std::chrono::milliseconds total_backoff{0};
 };
 
 class Retry {
  public:
   explicit Retry(RetryPolicy policy = {}) : policy_(policy) {
     COSMO_REQUIRE(policy_.max_attempts >= 0, "negative attempt bound");
-    COSMO_REQUIRE(policy_.backoff_multiplier >= 1.0,
-                  "backoff must not shrink across attempts");
   }
 
-  const RetryPolicy& policy() const { return policy_; }
-
-  /// Backoff applied after 0-based `attempt` fails: exponential term clamped
-  /// to max_backoff, plus deterministic jitter keyed on (`name`, attempt).
-  /// Pure given the armed plan's seed — exposed so tests can assert the
-  /// exact schedule a failing run used.
+  /// Backoff applied after 0-based `attempt` fails: initial_backoff doubled
+  /// `attempt` times and clamped to max_backoff, plus deterministic jitter
+  /// keyed on (`name`, attempt). Pure given the armed plan's seed — exposed
+  /// so tests can assert the exact schedule a failing run used.
   std::chrono::milliseconds backoff_after(std::string_view name,
                                           int attempt) const {
     double ms = static_cast<double>(policy_.initial_backoff.count()) *
-                std::pow(policy_.backoff_multiplier, attempt);
+                std::pow(2.0, attempt);
     ms = std::min(ms, static_cast<double>(policy_.max_backoff.count()));
     const std::uint64_t jitter = faults::jitter(
         name, static_cast<std::uint64_t>(attempt),
@@ -86,30 +66,13 @@ class Retry {
   template <typename F>
   RetryResult run(std::string_view name, F&& fn) {
     RetryResult result;
-    const auto start = std::chrono::steady_clock::now();
-    const bool budgeted =
-        policy_.total_budget != std::chrono::milliseconds::max();
     for (int attempt = 0; attempt < policy_.max_attempts; ++attempt) {
-      if (budgeted && std::chrono::steady_clock::now() - start >=
-                          policy_.total_budget) {
-        result.budget_exhausted = true;
-        break;
-      }
       ++result.attempts;
       COSMO_COUNT("retry.attempts", 1);
-      const auto attempt_start = std::chrono::steady_clock::now();
       bool ok = false;
       try {
         ok = fn();
       } catch (const std::exception&) {
-        ok = false;
-      }
-      const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - attempt_start);
-      if (ok && took > policy_.attempt_timeout) {
-        // The result arrived after the caller's per-attempt deadline: too
-        // late to use, so it is a failure for retry purposes.
-        COSMO_COUNT("retry.attempt_timeouts", 1);
         ok = false;
       }
       if (ok) {
@@ -119,8 +82,6 @@ class Retry {
       }
       if (attempt + 1 < policy_.max_attempts) {
         const auto backoff = backoff_after(name, attempt);
-        result.backoffs.push_back(backoff);
-        result.total_backoff += backoff;
         COSMO_COUNT("retry.backoff_ms",
                     static_cast<std::uint64_t>(backoff.count()));
         if (backoff.count() > 0) std::this_thread::sleep_for(backoff);

@@ -33,12 +33,6 @@ class TextTable {
     return os.str();
   }
 
-  static std::string sci(double v, int precision = 3) {
-    std::ostringstream os;
-    os << std::scientific << std::setprecision(precision) << v;
-    return os.str();
-  }
-
   void print(std::ostream& os) const {
     std::vector<std::size_t> w(header_.size(), 0);
     for (std::size_t c = 0; c < header_.size(); ++c) w[c] = header_[c].size();

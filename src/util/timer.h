@@ -1,4 +1,6 @@
-// Wall-clock timing helpers used by the workflow phase ledger and benches.
+// Wall-clock stopwatch. obs::TimedSpan falls back to it while tracing is
+// switched off at run time; the comm and dispatch wait counters and the
+// benches time with it directly.
 #pragma once
 
 #include <chrono>

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -115,8 +116,9 @@ TEST_F(Obs, TimedSpanLedgerMatchesTrace) {
   const auto found = spans_named("unit.timed");
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].cat, "testcat");
-  if (found[0].seconds() > 0.0)
+  if (found[0].seconds() > 0.0) {
     EXPECT_DOUBLE_EQ(found[0].seconds(), ledger);
+  }
 }
 
 TEST_F(Obs, RingOverflowDropsOldestAndCounts) {
@@ -143,8 +145,15 @@ TEST_F(Obs, RingOverflowDropsOldestAndCounts) {
 TEST_F(Obs, RuntimeDisableSuppressesRecording) {
   obs::Tracer::instance().set_enabled(false);
   { COSMO_TRACE_SPAN("unit.suppressed"); }
+  // TimedSpan still measures with tracing off: cosmobench's measured rounds
+  // and every untraced workflow take their phase times from it.
+  obs::TimedSpan timed("unit.suppressed_timed", "cat");
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const double d = timed.finish();
   obs::Tracer::instance().set_enabled(true);
+  EXPECT_GE(d, 0.004);
   EXPECT_TRUE(spans_named("unit.suppressed").empty());
+  EXPECT_TRUE(spans_named("unit.suppressed_timed").empty());
 }
 
 // --- Chrome trace export ---------------------------------------------------
@@ -299,23 +308,6 @@ TEST_F(Obs, CounterAggregationAcrossRanks) {
   });
 }
 
-TEST_F(Obs, HistogramAggregationAcrossRanks) {
-  run_spmd(4, [&](Comm& c) {
-    // Each rank lands one sample in its own bin of [0, 4) / 4 bins.
-    COSMO_HISTOGRAM("unit.hist", 0.0, 4.0, 4, c.rank() + 0.5);
-    if (c.rank() == 0) COSMO_HISTOGRAM("unit.hist", 0.0, 4.0, 4, 99.0);
-    c.barrier();
-    const auto merged = obs::aggregate_histogram(c, "unit.hist", 0.0, 4.0, 4);
-    ASSERT_EQ(merged.size(), 6u);  // 4 bins + underflow + overflow
-    EXPECT_EQ(merged[0], 1u);
-    EXPECT_EQ(merged[1], 1u);
-    EXPECT_EQ(merged[2], 1u);
-    EXPECT_EQ(merged[3], 1u);
-    EXPECT_EQ(merged[4], 0u);  // underflow
-    EXPECT_EQ(merged[5], 1u);  // rank 0's out-of-range sample
-  });
-}
-
 TEST_F(Obs, AggregateAllCountersCoversRegisteredNames) {
   run_spmd(2, [&](Comm& c) {
     COSMO_COUNT("unit.all_a", 1);
@@ -336,21 +328,6 @@ TEST_F(Obs, AggregateAllCountersCoversRegisteredNames) {
     EXPECT_TRUE(saw_a);
     EXPECT_TRUE(saw_b);
   });
-}
-
-TEST_F(Obs, GaugeStoresLastValue) {
-  COSMO_GAUGE_SET("unit.gauge", 2.5);
-  COSMO_GAUGE_SET("unit.gauge", 7.25);
-  EXPECT_DOUBLE_EQ(
-      obs::MetricsRegistry::instance().gauge("unit.gauge").value(), 7.25);
-}
-
-TEST_F(Obs, HistogramBinningIsFirstWins) {
-  COSMO_HISTOGRAM("unit.firstwins", 0.0, 10.0, 10, 5.0);
-  auto& h =
-      obs::MetricsRegistry::instance().histogram("unit.firstwins", 0.0, 99.0, 3);
-  EXPECT_DOUBLE_EQ(h.hi(), 10.0);
-  EXPECT_EQ(h.bins(), 10u);
 }
 
 // --- the instrumented runtime ---------------------------------------------

@@ -488,8 +488,8 @@ TEST_P(PmRanks, DepositConservesMass) {
 
 // The parallel-deposit determinism contract: for every rank count the
 // ThreadPool δ field is bit-identical to Serial — the scatter-reduce block
-// structure depends only on (n, grain, pool width), never on thread
-// scheduling. DppDeposit.BackendsBitIdenticalAcrossGrains sweeps the grain.
+// structure depends only on (n, grid size, grain), never on the pool width
+// or on thread scheduling. DppDeposit.BackendsBitIdenticalAcrossGrains sweeps the grain.
 TEST_P(PmRanks, DepositBackendsBitIdentical) {
   const int P = GetParam();
   const std::size_t ng = 16;
@@ -544,10 +544,9 @@ std::uint32_t uniform_deposit_crc(dpp::Backend backend) {
 }
 
 // The deposit's bits, pinned on Serial, on an idle pool and on a pool that
-// another thread keeps dispatching on. Here deposit_reduce merges
-// min(4 · workers, 1 + 8n/m) blocks, so the bits depend on the pool width:
-// the golden was recorded on a 4-worker pool (2, 3 and 8 workers give
-// other CRCs), and every width must agree across the three runs.
+// another thread keeps dispatching on. deposit_reduce merges
+// min(16, 1 + 8n/m) blocks, a count set by (n, m, grain) alone, so the
+// golden holds on every pool width.
 TEST(PmSolver, DepositMatchesGolden) {
   const std::uint32_t serial = uniform_deposit_crc(dpp::Backend::Serial);
   EXPECT_EQ(uniform_deposit_crc(dpp::Backend::ThreadPool), serial);
@@ -555,9 +554,7 @@ TEST(PmSolver, DepositMatchesGolden) {
               return uniform_deposit_crc(dpp::Backend::ThreadPool);
             }),
             serial);
-  if (dpp::ThreadPool::instance().workers() == 4) {
-    EXPECT_EQ(serial, 0x2D6FA698u) << std::hex << "δ drifted: 0x" << serial;
-  }
+  EXPECT_EQ(serial, 0x2D6FA698u) << std::hex << "δ drifted: 0x" << serial;
 }
 
 // fx, fy and fz share one ghost exchange: one alltoallv per accelerations

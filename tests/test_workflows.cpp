@@ -211,14 +211,11 @@ TEST_F(WorkflowEnd2End, LedgerConsistentWithTracerForAllVariants) {
     SCOPED_TRACE(to_string(kind));
     auto p = make(std::string("ledger_") +
                   std::to_string(static_cast<int>(kind)));
-#ifndef COSMO_OBS_DISABLED
     obs::Tracer::instance().set_enabled(true);
     obs::Tracer::instance().clear();
-#endif
     auto r = run_workflow(kind, p);
     EXPECT_GT(r.times.sim, 0.0);
     EXPECT_GT(r.catalog.size(), 0u);
-#ifndef COSMO_OBS_DISABLED
     const auto spans = obs::Tracer::instance().snapshot();
     const std::string cat = to_string(kind);
     // max over rank spans + sum of rank-less spans for one phase name.
@@ -252,8 +249,9 @@ TEST_F(WorkflowEnd2End, LedgerConsistentWithTracerForAllVariants) {
     for (const auto& row : rows) {
       const auto [derived, count] = from_trace(row.phase);
       SCOPED_TRACE(row.phase);
-      if (row.ledger > 0.0)
+      if (row.ledger > 0.0) {
         EXPECT_GT(count, 0u) << "ledger has time but trace has no span";
+      }
       EXPECT_NEAR(derived, row.ledger, kTol);
       trace_total += derived;
       ledger_total += row.ledger;
@@ -265,7 +263,6 @@ TEST_F(WorkflowEnd2End, LedgerConsistentWithTracerForAllVariants) {
     // Every rank of the simulation job produced a phase.sim span.
     const auto [_, sim_spans] = from_trace("phase.sim");
     EXPECT_EQ(sim_spans, static_cast<std::size_t>(p.ranks));
-#endif
   }
 }
 
